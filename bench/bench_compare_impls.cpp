@@ -70,36 +70,17 @@ using namespace psnap;
 
 namespace {
 
-// Specs to compare: either every registered implementation, or the comma-
-// separated --impls list (each entry a registry spec, so ablation options
-// like "fig3_cas:cas=false" work from the command line).  Specs themselves
-// use commas between options ("fig3_cas:shards=4,affinity=segment"), so a
-// token only STARTS a new spec when it looks like a name -- contains a ':'
-// or no '=' at all; bare key=value tokens continue the previous spec.
+// Specs to compare: either every registered implementation on each of its
+// declared value x reclaim planes, or the --impls list (each entry a
+// registry spec, so ablation options like "fig3_cas:cas=false" work from
+// the command line).
 std::vector<std::string> impl_specs(const std::string& impls_flag) {
+  if (!impls_flag.empty()) return bench::split_impl_specs(impls_flag);
   std::vector<std::string> specs;
-  if (impls_flag.empty()) {
-    for (const registry::SnapshotInfo* info :
-         registry::SnapshotRegistry::instance().all()) {
-      specs.push_back(info->name);
-    }
-  } else {
-    std::size_t pos = 0;
-    while (pos <= impls_flag.size()) {
-      std::size_t comma = impls_flag.find(',', pos);
-      if (comma == std::string::npos) comma = impls_flag.size();
-      if (comma > pos) {
-        std::string token = impls_flag.substr(pos, comma - pos);
-        const bool starts_spec =
-            token.find(':') != std::string::npos ||
-            token.find('=') == std::string::npos;
-        if (!starts_spec && !specs.empty()) {
-          specs.back() += "," + token;
-        } else {
-          specs.push_back(std::move(token));
-        }
-      }
-      pos = comma + 1;
+  for (const registry::SnapshotInfo* info :
+       registry::SnapshotRegistry::instance().all()) {
+    for (std::string& spec : registry::snapshot_specs(*info)) {
+      specs.push_back(std::move(spec));
     }
   }
   return specs;
@@ -774,8 +755,9 @@ int main(int argc, char** argv) {
   flags.define("threads", "4", "worker threads");
   flags.define("seconds", "0.4", "measured duration per cell");
   flags.define("impls", "",
-               "comma-separated registry specs (default: all registered; "
-               "'help' prints the catalogue):\n" +
+               "comma-separated registry specs (default: every registered "
+               "entry on each declared plane; 'help' prints the "
+               "catalogue):\n" +
                    registry::snapshot_catalogue());
   flags.define("json", "",
                "also write machine-readable results to this JSON file "
@@ -785,7 +767,7 @@ int main(int argc, char** argv) {
                "record every operation of a full-speed mixed run into a "
                "JSONL artifact at this path (audit with "
                "tools/trace_audit); uses the first --impls spec, default "
-               "fig3_cas_versioned_batch");
+               "fig3_cas_batch:value=versioned");
   if (!flags.parse(argc, argv)) return 1;
 
   if (flags.get_string("impls") == "help") {
@@ -796,7 +778,7 @@ int main(int argc, char** argv) {
 
   if (!flags.get_string("trace").empty()) {
     std::string spec = flags.get_string("impls").empty()
-                           ? "fig3_cas_versioned_batch"
+                           ? "fig3_cas_batch:value=versioned"
                            : impl_specs(flags.get_string("impls")).front();
     try {
       return trace_profile(

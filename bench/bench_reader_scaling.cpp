@@ -108,18 +108,6 @@ Cell measure(const std::string& spec, std::uint32_t readers,
               double(total_scans.load()) / seconds};
 }
 
-std::vector<std::string> impl_specs(const std::string& impls_flag) {
-  std::vector<std::string> specs;
-  std::size_t pos = 0;
-  while (pos <= impls_flag.size()) {
-    std::size_t comma = impls_flag.find(',', pos);
-    if (comma == std::string::npos) comma = impls_flag.size();
-    if (comma > pos) specs.push_back(impls_flag.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return specs;
-}
-
 void run_sweep(const std::vector<std::string>& specs, double seconds,
                bench::JsonReport& report) {
   for (const std::string& spec : specs) {
@@ -178,7 +166,7 @@ int main(int argc, char** argv) {
 
   bench::JsonReport report;
   try {
-    run_sweep(impl_specs(flags.get_string("impls")),
+    run_sweep(bench::split_impl_specs(flags.get_string("impls")),
               flags.get_double("seconds"), report);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());

@@ -28,6 +28,31 @@
 
 namespace psnap::bench {
 
+// Splits a comma-separated --impls list into registry specs.  Specs use
+// commas between their own options ("fig3_cas:shards=4,affinity=segment"),
+// so a token only STARTS a new spec when it looks like a name -- contains
+// a ':' or no '=' at all; bare key=value tokens continue the previous spec.
+inline std::vector<std::string> split_impl_specs(const std::string& list) {
+  std::vector<std::string> specs;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string::npos) comma = list.size();
+    if (comma > pos) {
+      std::string token = list.substr(pos, comma - pos);
+      const bool starts_spec = token.find(':') != std::string::npos ||
+                               token.find('=') == std::string::npos;
+      if (!starts_spec && !specs.empty()) {
+        specs.back() += "," + token;
+      } else {
+        specs.push_back(std::move(token));
+      }
+    }
+    pos = comma + 1;
+  }
+  return specs;
+}
+
 // Machine-readable results next to the human tables: benches accumulate
 // (name, value, unit) entries and write them as JSON when --json=<path> is
 // passed, feeding the committed BENCH_*.json perf-trajectory artifacts

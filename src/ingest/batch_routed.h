@@ -2,7 +2,7 @@
 // through the batch entry points (update(i,v) becomes a k=1
 // update_batch).
 //
-// Purpose: the registry's canned *_batch twins.  Registering a BatchRouted
+// Purpose: the registry's *_batch entries.  Registering a BatchRouted
 // wrapper of an existing implementation puts the batch protocol -- the
 // shared announcement record, the descriptor install/resolve engine, the
 // pooled batch descriptors -- on the exact paths every registry-driven
@@ -10,11 +10,10 @@
 // allocation), with zero per-suite wiring.  Scans and plane accessors
 // forward untouched.
 //
-// Wait-freedom is a constructor argument rather than forwarded: on the
-// versioned plane the batch engine CAS-retries until every member is
-// installed (lock-free), so a wrapper of a wait-free singleton
-// implementation is NOT wait-free even at k=1, and the registry flag must
-// describe the wrapper, not the wrappee.
+// Wait-freedom is derived, not forwarded: on the versioned plane the batch
+// engine CAS-retries until every member is installed (lock-free), so a
+// wrapper of a wait-free singleton implementation is NOT wait-free there
+// even at k=1.
 #pragma once
 
 #include <memory>
@@ -29,9 +28,8 @@ namespace psnap::ingest {
 
 class BatchRouted final : public core::PartialSnapshot {
  public:
-  BatchRouted(std::unique_ptr<core::PartialSnapshot> inner, bool wait_free)
+  explicit BatchRouted(std::unique_ptr<core::PartialSnapshot> inner)
       : inner_(std::move(inner)),
-        wait_free_(wait_free),
         name_(std::string(inner_->name()) + "+batch") {
     PSNAP_ASSERT_MSG(
         inner_->batch_atomicity() != core::BatchAtomicity::kUnsupported,
@@ -42,7 +40,9 @@ class BatchRouted final : public core::PartialSnapshot {
     return inner_->num_components();
   }
   std::string_view name() const override { return name_; }
-  bool is_wait_free() const override { return wait_free_; }
+  bool is_wait_free() const override {
+    return inner_->is_wait_free() && inner_->value_plane() != "versioned";
+  }
   bool is_local() const override { return inner_->is_local(); }
   std::string_view value_plane() const override {
     return inner_->value_plane();
@@ -105,7 +105,6 @@ class BatchRouted final : public core::PartialSnapshot {
 
  private:
   std::unique_ptr<core::PartialSnapshot> inner_;
-  bool wait_free_;
   std::string name_;
 };
 

@@ -68,6 +68,20 @@ std::uint32_t get_u32_option(const Options& options, std::string_view key,
   return static_cast<std::uint32_t>(value);
 }
 
+// Splits a comma-separated plane list (SnapshotInfo::values / reclaims):
+// the one place those lists are taken apart.
+std::vector<std::string_view> split_planes(std::string_view list) {
+  std::vector<std::string_view> planes;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string_view::npos) comma = list.size();
+    planes.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return planes;
+}
+
 std::string unknown_name_message(std::string_view kind,
                                  std::string_view name,
                                  const std::string& suggestion,
@@ -406,18 +420,12 @@ std::unique_ptr<activeset::ActiveSet> make_active_set(
 }
 
 bool value_plane_supported(std::string_view values, std::string_view plane) {
-  std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string_view::npos) comma = values.size();
-    if (values.substr(pos, comma - pos) == plane) return true;
-    pos = comma + 1;
-  }
-  return false;
+  const auto planes = split_planes(values);
+  return std::find(planes.begin(), planes.end(), plane) != planes.end();
 }
 
 std::string_view default_value_plane(std::string_view values) {
-  return values.substr(0, values.find(','));
+  return split_planes(values).front();
 }
 
 bool reclaim_plane_supported(std::string_view reclaims,
@@ -427,6 +435,19 @@ bool reclaim_plane_supported(std::string_view reclaims,
 
 std::string_view default_reclaim_plane(std::string_view reclaims) {
   return default_value_plane(reclaims);
+}
+
+std::vector<std::string> snapshot_specs(const SnapshotInfo& info) {
+  std::vector<std::string> specs;
+  const std::string_view def_reclaim = default_reclaim_plane(info.reclaims);
+  for (std::string_view value : split_planes(info.values)) {
+    for (std::string_view reclaim : split_planes(info.reclaims)) {
+      std::string spec = info.name + ":value=" + std::string(value);
+      if (reclaim != def_reclaim) spec += ",reclaim=" + std::string(reclaim);
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
 }
 
 std::string closest_snapshot_name(std::string_view name) {

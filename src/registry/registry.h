@@ -7,10 +7,13 @@
 //
 //   * enumeration: SnapshotRegistry::instance().all() lists every
 //     implementation in registration order, with capability flags
-//     (is_wait_free / is_local / counts_steps / sim_safe) so consumers can
-//     filter ("only wait-free impls for the crash sweeps", "only
-//     sim-safe impls under the deterministic scheduler") instead of
-//     hand-curating lists;
+//     (counts_steps / sim_safe / supports_batch) so consumers can filter
+//     ("only sim-safe impls under the deterministic scheduler") instead of
+//     hand-curating lists, and snapshot_specs() expands an entry into one
+//     spec per declared value x reclaim plane.  Progress and locality
+//     depend on the options (versioned planes CAS-retry), so they are
+//     asked of the built instance (PartialSnapshot::is_wait_free /
+//     is_local), never of the entry;
 //
 //   * construction from CLI strings: make_snapshot("fig3_cas:cas=false",
 //     m, n) parses per-implementation options from a spec of the form
@@ -104,9 +107,6 @@ struct SnapshotInfo {
 
   // Capability flags, queryable without instantiating (used by consumers
   // to filter; asserted against the instances in registry_test.cpp).
-  bool is_wait_free = false;
-  // Scan complexity depends only on r, never on m.
-  bool is_local = false;
   // Performs base-object steps counted by exec::on_step (false for the
   // mutex baseline, which synchronizes outside the paper's model).
   bool counts_steps = true;
@@ -265,6 +265,13 @@ std::unique_ptr<core::PartialSnapshot> make_snapshot(
 
 std::unique_ptr<activeset::ActiveSet> make_active_set(
     std::string_view spec, std::uint32_t max_threads);
+
+// Every combination of the entry's declared axes, as specs: one
+// "name:value=<plane>" per listed value plane, crossed with its reclaim
+// planes, where ",reclaim=<plane>" is appended only for a non-default
+// plane.  Value-major, in list order.  The one source of the combos that
+// registry-driven suites, the fuzzer and benches run.
+std::vector<std::string> snapshot_specs(const SnapshotInfo& info);
 
 // Value-plane list helpers (SnapshotInfo::values is a comma-separated
 // plane list whose first entry is the default).

@@ -31,7 +31,7 @@ inline constexpr char kPinnedAsetDekker[] =
 // a versioned scan stream, the shape that stresses batch-tier expansion
 // in the checker (PR 8) together with camera epochs (PR 6).
 inline constexpr char kPinnedSnapBatchedScan[] =
-    "psnapfuzz/1|snap|fig3_cas_versioned_batch:value=versioned,batch=3,"
+    "psnapfuzz/1|snap|fig3_cas_batch:value=versioned,batch=3,"
     "coalesce_window=6|m0=3|procs=3|ops=5|op=11|sched=3";
 
 // Growth racing scans on the fast-scan fig3 variant: add_components
@@ -51,8 +51,8 @@ inline constexpr char kPinnedSnapGrowth[] =
 // singleton winner, and a batch winner whose shared stamp is the one that
 // floats.
 inline constexpr char kPinnedSnapLoserStamp[] =
-    "psnapfuzz/1|snap|fig3_cas_versioned:value=versioned|m0=2|procs=3|"
-    "ops=4|op=120878d18ad3f6da|sched=25b55ac85950db3a";
+    "psnapfuzz/1|snap|fig3_cas:value=versioned|m0=2|procs=3|ops=4|"
+    "op=120878d18ad3f6da|sched=25b55ac85950db3a";
 inline constexpr char kPinnedSnapLoserStampBatch[] =
     "psnapfuzz/1|snap|fig3_cas:value=versioned|m0=2|procs=2|ops=5|"
     "op=397ddcbe50ba0e1|sched=e7c6347fe50c7a25";

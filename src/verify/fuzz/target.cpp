@@ -13,31 +13,6 @@ namespace {
 // that flushes really carry multi-entry batches through update_batch.
 constexpr char kIngestKnobs[] = "batch=3,coalesce_window=6";
 
-std::vector<std::string> split_planes(std::string_view values) {
-  std::vector<std::string> planes;
-  std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string_view::npos) comma = values.size();
-    planes.emplace_back(values.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return planes;
-}
-
-FuzzTarget snapshot_target(const registry::SnapshotInfo& info,
-                           const std::string& plane, bool coalesced) {
-  FuzzTarget target;
-  target.kind = FuzzTarget::Kind::kSnapshot;
-  target.spec = info.name + ":value=" + plane;
-  if (coalesced) target.spec += std::string(",") + kIngestKnobs;
-  target.supports_batch = info.supports_batch;
-  target.versioned = plane == "versioned";
-  target.blob = plane == "blob";
-  target.coalesced = coalesced;
-  return target;
-}
-
 }  // namespace
 
 std::vector<FuzzTarget> enumerate_snapshot_targets() {
@@ -45,10 +20,11 @@ std::vector<FuzzTarget> enumerate_snapshot_targets() {
   for (const registry::SnapshotInfo* info :
        registry::SnapshotRegistry::instance().all()) {
     if (!info->sim_safe) continue;
-    for (const std::string& plane : split_planes(info->values)) {
-      targets.push_back(snapshot_target(*info, plane, /*coalesced=*/false));
+    for (const std::string& spec : registry::snapshot_specs(*info)) {
+      targets.push_back(target_from_spec(FuzzTarget::Kind::kSnapshot, spec));
       if (info->supports_batch) {
-        targets.push_back(snapshot_target(*info, plane, /*coalesced=*/true));
+        targets.push_back(target_from_spec(
+            FuzzTarget::Kind::kSnapshot, spec + "," + kIngestKnobs));
       }
     }
   }

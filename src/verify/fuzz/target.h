@@ -1,11 +1,12 @@
 // Fuzz targets enumerated from the implementation registries.
 //
-// A target is one (implementation × value plane × ingest-knob) combination
-// the fuzzer must cover.  The list is DERIVED from the registries -- no
-// hand-curated impl tables anywhere in the fuzz layer -- so a newly
-// registered sim-safe implementation (or a new plane on an existing one)
-// is fuzzed automatically; tests/verify/fuzz_coverage_test.cpp asserts the
-// enumeration stays complete.
+// A target is one (implementation × value plane × reclaim plane ×
+// ingest-knob) combination the fuzzer must cover.  The list is DERIVED
+// from the registries -- no hand-curated impl tables anywhere in the fuzz
+// layer -- so a newly registered sim-safe implementation (or a new plane
+// on an existing one) is fuzzed automatically;
+// tests/verify/fuzz_coverage_test.cpp asserts the enumeration stays
+// complete.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,9 @@ struct FuzzTarget {
   }
 };
 
-// Every sim-safe snapshot entry × each supported plane, plus a coalescing
-// ingest variant (batch=3,coalesce_window=6) for each batch-capable combo.
+// Every sim-safe snapshot entry × each declared value × reclaim plane
+// (registry::snapshot_specs), plus a coalescing ingest variant
+// (batch=3,coalesce_window=6) for each batch-capable combo.
 std::vector<FuzzTarget> enumerate_snapshot_targets();
 
 // Every sim-safe active-set entry.

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
 
 #include "exec/exec.h"
+#include "segarray/segmented_array.h"
 
 namespace psnap::activeset {
 namespace {
@@ -256,6 +258,27 @@ TEST(FaiCas, GetSetSeesActiveAcrossManySlots) {
   }
   exec::ScopedPid pid(1);
   EXPECT_EQ(as.get_set(), (std::vector<std::uint32_t>{2}));
+}
+
+// Figure 2 never recycles I[] slots (paper Section 6): every join takes a
+// fresh one, so an object dies on the join after SegmentedArray::capacity()
+// joins.  Long-lived objects must be rebuilt before that (README,
+// "Resource limits").  The child touches the whole array, about 64 MiB.
+TEST(FaiCasDeathTest, JoinPastTheSlotBudgetAborts) {
+  constexpr std::uint64_t kSlots = segarray::SegmentedArray<int>::capacity();
+  EXPECT_DEATH(
+      {
+        exec::ScopedPid pid(0);
+        FaiCasActiveSetT<primitives::Release> as(1);
+        for (std::uint64_t j = 0; j < kSlots; ++j) {
+          as.join();
+          as.leave();
+        }
+        std::fprintf(stderr, "all %llu slots joined\n",
+                     static_cast<unsigned long long>(kSlots));
+        as.join();
+      },
+      "all 4194304 slots joined.*SegmentedArray capacity exceeded");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/harness.h"
+
 namespace psnap {
 namespace {
 
@@ -83,6 +85,16 @@ TEST(CliFlags, PositionalArgumentRejected) {
   flags.define("a", "1", "");
   const char* argv[] = {"prog", "stray"};
   EXPECT_FALSE(parse(flags, argv));
+}
+
+// --impls lists: a key=value token continues the previous spec, so a
+// multi-option spec is not cut at its own commas.
+TEST(ImplSpecList, KeyValueTokensContinueThePreviousSpec) {
+  EXPECT_EQ(bench::split_impl_specs(
+                "fig3_cas_fast:value=versioned,reclaim=hp,lock,,seqlock"),
+            (std::vector<std::string>{
+                "fig3_cas_fast:value=versioned,reclaim=hp", "lock",
+                "seqlock"}));
 }
 
 }  // namespace

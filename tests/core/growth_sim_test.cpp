@@ -33,9 +33,11 @@ using verify::LinCheckOptions;
 using verify::LinResult;
 using verify::RecordingSnapshot;
 
-std::vector<const registry::SnapshotInfo*> checked_impls() {
-  return test::snapshot_impls(
-      [](const registry::SnapshotInfo& info) { return info.sim_safe; });
+std::vector<std::string> checked_impls() {
+  return test::snapshot_specs(
+      [](const registry::SnapshotInfo& info, const core::PartialSnapshot&) {
+        return info.sim_safe;
+      });
 }
 
 void expect_linearizable(const History& history, std::uint32_t m) {
@@ -51,7 +53,7 @@ void expect_linearizable(const History& history, std::uint32_t m) {
 }
 
 class GrowthSimTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 // Scenario A (DFS): a grower-updater races a scanner.  The scanner first
 // scans the original components, then -- if it already observes the grown
@@ -61,7 +63,7 @@ TEST_P(GrowthSimTest, GrowRacesScannerDfs) {
   constexpr std::uint32_t kM0 = 2;
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 2);
+        auto snap = registry::make_snapshot(GetParam(), kM0, 2);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -97,7 +99,7 @@ TEST_P(GrowthSimTest, RepeatedGrowthRandomSchedules) {
   constexpr std::uint32_t kM0 = 2;
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 4);
+        auto snap = registry::make_snapshot(GetParam(), kM0, 4);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -135,7 +137,7 @@ TEST_P(GrowthSimTest, ConcurrentGrowersGetDisjointBlocks) {
   constexpr std::uint32_t kM0 = 2;
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 3);
+        auto snap = registry::make_snapshot(GetParam(), kM0, 3);
         std::uint32_t first_a = 0, first_b = 0;
 
         SimScheduler::Options options;
@@ -170,7 +172,7 @@ TEST_P(GrowthSimTest, ConcurrentGrowersGetDisjointBlocks) {
 
 INSTANTIATE_TEST_SUITE_P(AllSimSafeImplementations, GrowthSimTest,
                          ::testing::ValuesIn(checked_impls()),
-                         test::snapshot_param_name);
+                         test::spec_param_name);
 
 }  // namespace
 }  // namespace psnap::core

@@ -13,10 +13,10 @@ namespace psnap::core {
 namespace {
 
 class SnapshotContractTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {
+    : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<PartialSnapshot> make(std::uint32_t m, std::uint32_t n = 4) {
-    return test::make_snapshot(*GetParam(), m, n);
+    return registry::make_snapshot(GetParam(), m, n);
   }
 };
 
@@ -129,8 +129,8 @@ TEST_P(SnapshotContractTest, FlagsReportedConsistently) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, SnapshotContractTest,
-                         ::testing::ValuesIn(test::snapshot_impls()),
-                         test::snapshot_param_name);
+                         ::testing::ValuesIn(test::snapshot_specs()),
+                         test::spec_param_name);
 
 }  // namespace
 }  // namespace psnap::core

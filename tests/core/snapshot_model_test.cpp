@@ -22,15 +22,16 @@ namespace {
 struct Case {
   std::string label;
   std::uint64_t seed;
-  const registry::SnapshotInfo* info;
+  std::string spec;
 };
 
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  for (const registry::SnapshotInfo* info : test::snapshot_impls()) {
+  for (const std::string& spec : test::snapshot_specs()) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      cases.push_back(
-          Case{info->name + "_s" + std::to_string(seed), seed, info});
+      cases.push_back(Case{
+          test::spec_param_name({spec, 0}) + "_s" + std::to_string(seed),
+          seed, spec});
     }
   }
   return cases;
@@ -42,7 +43,7 @@ TEST_P(SnapshotModelTest, AgreesWithReferenceModel) {
   Xoshiro256 rng(GetParam().seed);
   // Random shape per seed.
   const auto m = static_cast<std::uint32_t>(rng.next_in(1, 48));
-  auto snap = test::make_snapshot(*GetParam().info, m, 2);
+  auto snap = registry::make_snapshot(GetParam().spec, m, 2);
   std::vector<std::uint64_t> model(m, 0);
 
   exec::ScopedPid pid(0);
@@ -86,7 +87,7 @@ TEST_P(SnapshotModelMultiPidTest, AgreesWithReferenceModel) {
   Xoshiro256 rng(GetParam().seed * 7919);
   const auto m = static_cast<std::uint32_t>(rng.next_in(2, 24));
   constexpr std::uint32_t kPids = 3;
-  auto snap = test::make_snapshot(*GetParam().info, m, kPids);
+  auto snap = registry::make_snapshot(GetParam().spec, m, kPids);
   std::vector<std::uint64_t> model(m, 0);
 
   std::vector<std::uint64_t> out;

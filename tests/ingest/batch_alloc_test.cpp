@@ -71,18 +71,19 @@ void warm_up(core::PartialSnapshot& snap) {
 // Every batch-capable implementation except the double-collect baseline,
 // which deliberately heap-allocates its plain records on every update
 // (it predates pooling and stays that way as the unpooled contrast).
-std::vector<const registry::SnapshotInfo*> pooled_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
+std::vector<std::string> pooled_batch_impls() {
+  return test::snapshot_specs([](const registry::SnapshotInfo& info,
+                                 const core::PartialSnapshot&) {
     return info.supports_batch && info.name != "double_collect";
   });
 }
 
 class BatchAllocTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchAllocTest, SteadyStateBatchesAreAllocationFree) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), kM, kN);
+  auto snap = registry::make_snapshot(GetParam(), kM, kN);
   warm_up(*snap);
   // Pre-built entry spans: the measurement covers the snapshot, not the
   // harness's argument vectors.
@@ -96,7 +97,7 @@ TEST_P(BatchAllocTest, SteadyStateBatchesAreAllocationFree) {
         std::span<const core::BatchEntry>(entries.data(), entries.size()));
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
-      << GetParam()->name;
+      << GetParam();
   // The batches still publish real data.
   const core::BatchEntry last = batches.back().back();
   EXPECT_EQ(snap->scan({last.index}),
@@ -105,7 +106,7 @@ TEST_P(BatchAllocTest, SteadyStateBatchesAreAllocationFree) {
 
 INSTANTIATE_TEST_SUITE_P(PooledBatchImpls, BatchAllocTest,
                          ::testing::ValuesIn(pooled_batch_impls()),
-                         test::snapshot_param_name);
+                         test::spec_param_name);
 
 // The helping path: with a scanner announced and parked in the active
 // set, every batch's getSet returns it and the embedded scan runs over
@@ -232,7 +233,7 @@ TEST(BatchAmortization, FullSnapshotBatchRunsOneEmbeddedScan) {
 // pooled like records.
 TEST(BatchAmortization, VersionedBatchSharesOneStamp) {
   exec::ScopedPid pid(0);
-  auto snap = registry::make_snapshot("fig3_cas_versioned", kM, kN);
+  auto snap = registry::make_snapshot("fig3_cas:value=versioned", kM, kN);
   warm_up(*snap);
 
   auto entries = distinct_batch(16);

@@ -38,14 +38,16 @@ using core::BatchAtomicity;
 using runtime::ExploreOptions;
 using runtime::SimScheduler;
 
-std::vector<const registry::SnapshotInfo*> sim_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
+std::vector<std::string> sim_batch_impls() {
+  return test::snapshot_specs([](const registry::SnapshotInfo& info,
+                                 const core::PartialSnapshot&) {
     return info.sim_safe && info.supports_batch;
   });
 }
 
-std::vector<const registry::SnapshotInfo*> all_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
+std::vector<std::string> all_batch_impls() {
+  return test::snapshot_specs([](const registry::SnapshotInfo& info,
+                                 const core::PartialSnapshot&) {
     return info.supports_batch;
   });
 }
@@ -56,11 +58,11 @@ std::vector<const registry::SnapshotInfo*> all_batch_impls() {
 // ---------------------------------------------------------------------------
 
 class BatchContractTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchContractTest, BatchWritesLandAndEmptyBatchIsNoOp) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 4, 2);
+  auto snap = registry::make_snapshot(GetParam(), 4, 2);
   ASSERT_NE(snap->batch_atomicity(), BatchAtomicity::kUnsupported);
   snap->update_batch({{0, 10}, {2, 30}, {3, 40}});
   EXPECT_EQ(snap->scan({0, 1, 2, 3}),
@@ -72,20 +74,20 @@ TEST_P(BatchContractTest, BatchWritesLandAndEmptyBatchIsNoOp) {
 
 TEST_P(BatchContractTest, DuplicateIndicesCoalesceLastWins) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 4, 2);
+  auto snap = registry::make_snapshot(GetParam(), 4, 2);
   snap->update_batch({{1, 5}, {3, 6}, {1, 7}, {1, 8}});
   // batch_size reports DISTINCT components after coalescing.  Read it
   // before the scan below resets the thread's op stats.
   const std::uint32_t merged = core::tls_op_stats().batch_size;
   EXPECT_EQ(snap->scan({1, 3}), (std::vector<std::uint64_t>{8, 6}));
-  if (GetParam()->counts_steps) {
+  if (test::snapshot_info(GetParam()).counts_steps) {
     EXPECT_EQ(merged, 2u);
   }
 }
 
 TEST_P(BatchContractTest, BatchReachesGrownComponents) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 2, 2);
+  auto snap = registry::make_snapshot(GetParam(), 2, 2);
   std::uint32_t first = snap->add_components(2);
   snap->update_batch({{first, 1}, {first + 1, 2}, {0, 3}});
   EXPECT_EQ(snap->scan({0, first, first + 1}),
@@ -94,7 +96,7 @@ TEST_P(BatchContractTest, BatchReachesGrownComponents) {
 
 INSTANTIATE_TEST_SUITE_P(BatchCapableImpls, BatchContractTest,
                          ::testing::ValuesIn(all_batch_impls()),
-                         test::snapshot_param_name);
+                         test::spec_param_name);
 
 TEST(BatchContract, UnsupportedImplementationsThrow) {
   exec::ScopedPid pid(0);
@@ -133,12 +135,12 @@ void expect_batch_consistent(const std::vector<std::uint64_t>& out,
 }
 
 class BatchAtomicityTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), 2, 2);
+        auto snap = registry::make_snapshot(GetParam(), 2, 2);
         const BatchAtomicity tier = snap->batch_atomicity();
 
         SimScheduler::Options options;
@@ -151,7 +153,7 @@ TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
         sched.add_process([&] {
           std::vector<std::uint64_t> out;
           snap->scan(std::vector<std::uint32_t>{0, 1}, out);
-          expect_batch_consistent(out, tier, GetParam()->name);
+          expect_batch_consistent(out, tier, GetParam());
         });
         return sched.run();
       },
@@ -162,7 +164,7 @@ TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
 TEST_P(BatchAtomicityTest, ConcurrentBatchesFromTwoWritersStayWhole) {
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), 2, 3);
+        auto snap = registry::make_snapshot(GetParam(), 2, 3);
         const BatchAtomicity tier = snap->batch_atomicity();
 
         SimScheduler::Options options;
@@ -178,11 +180,11 @@ TEST_P(BatchAtomicityTest, ConcurrentBatchesFromTwoWritersStayWhole) {
           for (int s = 0; s < 2; ++s) {
             snap->scan(std::vector<std::uint32_t>{0, 1}, out);
             ASSERT_EQ(out.size(), 2u);
-            EXPECT_LE(out[0], 2u) << GetParam()->name;
-            EXPECT_LE(out[1], 2u) << GetParam()->name;
+            EXPECT_LE(out[0], 2u) << GetParam();
+            EXPECT_LE(out[1], 2u) << GetParam();
             if (tier == BatchAtomicity::kAtomic) {
               EXPECT_EQ(out[0], out[1])
-                  << GetParam()->name << " tore a batch";
+                  << GetParam() << " tore a batch";
             }
           }
         });
@@ -193,14 +195,14 @@ TEST_P(BatchAtomicityTest, ConcurrentBatchesFromTwoWritersStayWhole) {
 
 INSTANTIATE_TEST_SUITE_P(SimSafeImpls, BatchAtomicityTest,
                          ::testing::ValuesIn(sim_batch_impls()),
-                         test::snapshot_param_name);
+                         test::spec_param_name);
 
 // ---------------------------------------------------------------------------
 // Crash sweeps: a writer halts at every step of its update_batch.
 // ---------------------------------------------------------------------------
 
 class BatchCrashTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 // The survivor must keep scanning and batching; its scans must still
 // respect the atomicity tier (a crashed kAtomic batch is all-or-nothing:
@@ -211,7 +213,7 @@ class BatchCrashTest
 // ASan preset runs this binary, so a leak fails CI).
 TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
   for (std::uint64_t crash_step = 1; crash_step <= 30; ++crash_step) {
-    auto snap = test::make_snapshot(*GetParam(), 2, 2);
+    auto snap = registry::make_snapshot(GetParam(), 2, 2);
     const BatchAtomicity tier = snap->batch_atomicity();
     bool survivor_finished = false;
 
@@ -225,11 +227,11 @@ TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
         ASSERT_EQ(out.size(), 2u);
         for (std::uint64_t v : out) {
           EXPECT_TRUE(v == 0 || v == 7 || v == 9)
-              << GetParam()->name << " invented value " << v;
+              << GetParam() << " invented value " << v;
         }
         if (tier == BatchAtomicity::kAtomic && out[0] != 9 && out[1] != 9) {
           EXPECT_EQ(out[0], out[1])
-              << GetParam()->name << " tore the crashed batch";
+              << GetParam() << " tore the crashed batch";
         }
       };
       // First scan may race or help the dying batch.
@@ -244,13 +246,13 @@ TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
     sched.run();
 
     ASSERT_TRUE(survivor_finished)
-        << GetParam()->name << " crash at step " << crash_step;
+        << GetParam() << " crash at step " << crash_step;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SimSafeImpls, BatchCrashTest,
                          ::testing::ValuesIn(sim_batch_impls()),
-                         test::snapshot_param_name);
+                         test::spec_param_name);
 
 }  // namespace
 }  // namespace psnap::ingest

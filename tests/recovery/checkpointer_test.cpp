@@ -245,20 +245,6 @@ TEST(MaxAttemptsOption, DoubleCollectThrowDeterministic) {
                baseline::StarvationError);
 }
 
-TEST(MaxAttemptsOption, CapAliasStillWorksAndMaxAttemptsWins) {
-  exec::ThreadHandle pid;
-  auto capped = registry::make_snapshot("double_collect:cap=1", 4, 4);
-  std::vector<std::uint64_t> out;
-  EXPECT_THROW(capped->scan(std::vector<std::uint32_t>{0}, out),
-               baseline::StarvationError);
-
-  // max_attempts=0 (retry forever) overrides cap=1: the scan succeeds.
-  auto uncapped =
-      registry::make_snapshot("double_collect:cap=1,max_attempts=0", 4, 4);
-  uncapped->scan(std::vector<std::uint32_t>{0}, out);
-  EXPECT_EQ(out[0], 0u);
-}
-
 TEST(MaxAttemptsOption, SeqlockThrowsUnderWriterPressure) {
   // The seqlock's starvation needs a real concurrent writer; a hammering
   // updater makes a max_attempts=1 scan fail fast.

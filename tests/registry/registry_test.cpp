@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 
 #include "activeset/faicas_active_set.h"
@@ -24,18 +25,32 @@ namespace {
 // Catalogue integrity.
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotRegistry, CataloguesTheExpectedBuiltins) {
-  auto& registry = SnapshotRegistry::instance();
-  for (const char* name :
-       {"fig1_register", "fig3_cas", "fig3_write_ablation", "full_snapshot",
-        "double_collect", "lock", "seqlock", "fig1_register_blob",
-        "fig3_cas_blob", "full_snapshot_blob", "fig3_cas_versioned",
-        "full_snapshot_versioned", "seqlock_versioned", "fig3_cas_batch",
-        "fig3_cas_versioned_batch", "full_snapshot_versioned_batch"}) {
-    EXPECT_NE(registry.find(name), nullptr) << name;
+TEST(SnapshotRegistry, CataloguesOneRowPerAlgorithm) {
+  // Planes are options crossed by snapshot_specs(), never named rows.
+  std::set<std::string> names;
+  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
+    names.insert(info->name);
   }
-  EXPECT_GE(registry.all().size(), 16u);
-  EXPECT_EQ(registry.find("no_such_impl"), nullptr);
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "fig1_register", "fig1_register_fast", "fig3_cas",
+                       "fig3_cas_fast", "fig3_write_ablation",
+                       "full_snapshot", "double_collect", "lock", "seqlock",
+                       "fig3_cas_batch", "full_snapshot_versioned_batch"}));
+  EXPECT_EQ(SnapshotRegistry::instance().find("no_such_impl"), nullptr);
+}
+
+TEST(SnapshotRegistry, SpecsCrossTheDeclaredPlanes) {
+  // Value-major; ",reclaim=" only off the default plane.
+  EXPECT_EQ(snapshot_specs(*SnapshotRegistry::instance().find("fig3_cas")),
+            (std::vector<std::string>{
+                "fig3_cas:value=u64", "fig3_cas:value=u64,reclaim=hp",
+                "fig3_cas:value=blob", "fig3_cas:value=blob,reclaim=hp",
+                "fig3_cas:value=versioned",
+                "fig3_cas:value=versioned,reclaim=hp"}));
+  EXPECT_EQ(snapshot_specs(*SnapshotRegistry::instance().find(
+                "full_snapshot_versioned_batch")),
+            (std::vector<std::string>{
+                "full_snapshot_versioned_batch:value=versioned"}));
 }
 
 TEST(ActiveSetRegistry, CataloguesTheExpectedBuiltins) {
@@ -185,19 +200,19 @@ TEST(SnapshotRegistry, UniversalSpecOptionsOverrideShapeArguments) {
 
 TEST(SnapshotRegistry, EveryImplementationGrowsThroughAddComponents) {
   exec::ScopedPid pid(0);
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+  for (const std::string& spec : test::snapshot_specs()) {
+    auto snap = make_snapshot(spec, 4, 2);
     snap->update(3, 33);
     std::uint32_t first = snap->add_components(3);
-    EXPECT_EQ(first, 4u) << info->name;
-    EXPECT_EQ(snap->num_components(), 7u) << info->name;
+    EXPECT_EQ(first, 4u) << spec;
+    EXPECT_EQ(snap->num_components(), 7u) << spec;
     // Old components keep their values; new ones start at the initial
     // value and accept updates.
     EXPECT_EQ(snap->scan({3, 4, 6}), (std::vector<std::uint64_t>{33, 0, 0}))
-        << info->name;
+        << spec;
     snap->update(6, 66);
     EXPECT_EQ(snap->scan({6, 0}), (std::vector<std::uint64_t>{66, 0}))
-        << info->name;
+        << spec;
   }
 }
 
@@ -250,8 +265,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsThePlaneOnEveryBuiltin) {
         "full_snapshot:value=blob", "double_collect:value=blob",
         "lock:value=blob", "seqlock:value=blob",
         "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
-        "fig3_write_ablation:value=blob", "fig1_register_blob",
-        "fig3_cas_blob", "full_snapshot_blob"}) {
+        "fig3_write_ablation:value=blob", "fig3_cas_batch:value=blob"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "blob") << spec;
     // The logical-u64 interface round-trips through 8-byte payloads, so
@@ -280,8 +294,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsTheVersionedPlane) {
   for (const char* spec :
        {"fig3_cas:value=versioned", "fig3_cas_fast:value=versioned",
         "full_snapshot:value=versioned", "seqlock:value=versioned",
-        "fig3_cas_versioned", "full_snapshot_versioned",
-        "seqlock_versioned"}) {
+        "fig3_cas_batch:value=versioned", "full_snapshot_versioned_batch"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "versioned") << spec;
     // The u64 interface routes through the version chains, so every
@@ -343,16 +356,6 @@ TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("{value=u64,blob,versioned}"), std::string::npos)
         << message;
   }
-  // The canned blob twins accept ONLY the blob plane.
-  try {
-    make_snapshot("fig1_register_blob:value=u64", 4, 2);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("does not support value=u64"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supported: blob"), std::string::npos) << message;
-  }
   // Entries that never grew a version chain reject the versioned plane...
   try {
     make_snapshot("fig1_register:value=versioned", 4, 2);
@@ -365,9 +368,9 @@ TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("supported: u64,blob"), std::string::npos)
         << message;
   }
-  // ...and the canned versioned twins accept ONLY the versioned plane.
+  // ...and a versioned-only entry accepts ONLY the versioned plane.
   try {
-    make_snapshot("fig3_cas_versioned:value=u64", 4, 2);
+    make_snapshot("full_snapshot_versioned_batch:value=u64", 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     std::string message = e.what();
@@ -403,7 +406,7 @@ TEST(SnapshotRegistry, DefaultPlaneIsTheFirstListed) {
   EXPECT_EQ(default_value_plane("blob"), "blob");
   // Capability field vs instance, for every entry.
   for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+    auto snap = make_snapshot(info->name, 4, 2);
     EXPECT_EQ(snap->value_plane(), default_value_plane(info->values))
         << info->name;
   }
@@ -416,10 +419,10 @@ TEST(SnapshotRegistry, DefaultPlaneIsTheFirstListed) {
 TEST(SnapshotRegistry, ReclaimPlaneOptionSelectsThePlane) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig3_cas:reclaim=hp", "fig3_cas_fast:reclaim=hp", "fig3_cas_hp",
+       {"fig3_cas:reclaim=hp", "fig3_cas_fast:reclaim=hp",
         "fig3_cas:value=blob,reclaim=hp",
-        "fig3_cas:value=versioned,reclaim=hp", "fig3_cas_versioned_hp",
-        "fig3_cas_versioned_batch:reclaim=hp"}) {
+        "fig3_cas:value=versioned,reclaim=hp",
+        "fig3_cas_batch:value=versioned,reclaim=hp"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->reclaim_plane(), "hp") << spec;
     EXPECT_EQ(snap->reclaim_shards(), 1u) << spec;
@@ -456,17 +459,6 @@ TEST(SnapshotRegistry, UnsupportedReclaimPlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("{reclaim=ebr,hp}"), std::string::npos)
         << message;
   }
-  // The canned hp twins accept ONLY the hp plane.
-  try {
-    make_snapshot("fig3_cas_hp:reclaim=ebr", 4, 2);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("does not support reclaim=ebr"),
-              std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supported: hp"), std::string::npos) << message;
-  }
   // Combination rules fail loudly at construction, not deep in a workload:
   // shards out of range, hp with the write ablation, hp with sharding,
   // sharding on the versioned plane.
@@ -502,7 +494,7 @@ TEST(SnapshotRegistry, DefaultReclaimPlaneIsTheFirstListed) {
   // Capability field vs instance, for every entry.
   exec::ScopedPid pid(0);
   for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+    auto snap = make_snapshot(info->name, 4, 2);
     EXPECT_EQ(snap->reclaim_plane(), default_reclaim_plane(info->reclaims))
         << info->name;
   }
@@ -634,70 +626,73 @@ TEST(SnapshotRegistry, CatalogueMarksBatchCapability) {
   }
 }
 
-// The scan-attempt cap: `max_attempts` is the service-facing spelling,
-// `cap` the historical alias, and max_attempts wins when both are given.
-// The help text must teach the preferred spelling first.
-TEST(SnapshotRegistry, ScanAttemptCapAliasPrecedence) {
+// The scan-attempt cap of the starvation-prone baselines is max_attempts=
+// (the Checkpointer's graceful-degradation knob).
+TEST(SnapshotRegistry, ScanAttemptCapReachesTheImplementation) {
   exec::ScopedPid pid(0);
-  for (const char* base : {"double_collect", "seqlock"}) {
-    const std::string name(base);
-    // Sequentially, the double collect needs two collects to agree, so a
-    // cap of 1 starves even an uncontended scan -- the loud signal that
-    // the cap reached the implementation.  (The seqlock succeeds on the
-    // first attempt when uncontended, so drive its cap through the same
-    // specs and just assert both spellings construct.)
-    if (name == "double_collect") {
-      auto capped = make_snapshot(name + ":cap=1", 4, 2);
-      EXPECT_THROW(capped->scan({0}), baseline::StarvationError);
-      auto capped_pref = make_snapshot(name + ":max_attempts=1", 4, 2);
-      EXPECT_THROW(capped_pref->scan({0}), baseline::StarvationError);
-      // max_attempts=0 (retry forever) beats the alias asking to starve.
-      auto uncapped = make_snapshot(name + ":max_attempts=0,cap=1", 4, 2);
-      EXPECT_EQ(uncapped->scan({0}), (std::vector<std::uint64_t>{0}));
-    } else {
-      auto a = make_snapshot(name + ":cap=3", 4, 2);
-      EXPECT_EQ(a->scan({0}), (std::vector<std::uint64_t>{0}));
-      auto b = make_snapshot(name + ":max_attempts=0,cap=1", 4, 2);
-      EXPECT_EQ(b->scan({0}), (std::vector<std::uint64_t>{0}));
-    }
-  }
-}
-
-TEST(SnapshotRegistry, HelpTextListsPreferredSpellingBeforeAlias) {
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    std::size_t alias = info->options_help.find("cap=");
-    if (alias == std::string::npos) continue;
-    std::size_t preferred = info->options_help.find("max_attempts=");
-    ASSERT_NE(preferred, std::string::npos) << info->name;
-    EXPECT_LT(preferred, alias)
-        << info->name << ": help text teaches the alias first: "
-        << info->options_help;
-  }
+  // Sequentially, the double collect needs two collects to agree, so a
+  // cap of 1 starves even an uncontended scan -- the loud signal that the
+  // cap reached the implementation.
+  auto capped = make_snapshot("double_collect:max_attempts=1", 4, 2);
+  EXPECT_THROW(capped->scan({0}), baseline::StarvationError);
+  auto uncapped = make_snapshot("double_collect:max_attempts=0", 4, 2);
+  EXPECT_EQ(uncapped->scan({0}), (std::vector<std::uint64_t>{0}));
+  // The seqlock succeeds on its first attempt when uncontended.
+  auto seqlock = make_snapshot("seqlock:max_attempts=3", 4, 2);
+  EXPECT_EQ(seqlock->scan({0}), (std::vector<std::uint64_t>{0}));
+  // The historical cap= spelling is gone and fails like any unknown key.
+  EXPECT_THROW(make_snapshot("double_collect:cap=1", 4, 2),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Capability flags vs the instances.
+// Specs vs the instances they build.
 // ---------------------------------------------------------------------------
 
-class RegistryFlagsTest
-    : public ::testing::TestWithParam<const SnapshotInfo*> {};
+class RegistrySpecTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(RegistryFlagsTest, FlagsMatchInstance) {
-  const SnapshotInfo& info = *GetParam();
-  auto snap = test::make_snapshot(info, 4, 2);
+TEST_P(RegistrySpecTest, SpecPlanesReachTheInstance) {
+  const std::string& spec = GetParam();
+  const SnapshotInfo& info = test::snapshot_info(spec);
+  Options options = Options::parse(split_spec(spec).second);
+  auto snap = make_snapshot(spec, 4, 2);
   ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(info.is_wait_free, snap->is_wait_free()) << info.name;
-  EXPECT_EQ(info.is_local, snap->is_local()) << info.name;
+  EXPECT_EQ(snap->value_plane(), options.get_string("value", ""));
+  EXPECT_EQ(snap->reclaim_plane(),
+            options.get_string("reclaim",
+                               default_reclaim_plane(info.reclaims)));
   EXPECT_EQ(info.supports_batch,
-            snap->batch_atomicity() != core::BatchAtomicity::kUnsupported)
-      << info.name;
-  EXPECT_EQ(snap->num_components(), 4u) << info.name;
-  EXPECT_FALSE(snap->name().empty()) << info.name;
+            snap->batch_atomicity() != core::BatchAtomicity::kUnsupported);
+  EXPECT_EQ(snap->num_components(), 4u);
+  EXPECT_FALSE(snap->name().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllImplementations, RegistryFlagsTest,
-                         ::testing::ValuesIn(test::snapshot_impls()),
-                         test::snapshot_param_name);
+INSTANTIATE_TEST_SUITE_P(AllSpecs, RegistrySpecTest,
+                         ::testing::ValuesIn(test::snapshot_specs()),
+                         test::spec_param_name);
+
+// Progress and locality are facts of the built object, not of the entry:
+// the same row is wait-free on one plane and lock-free on another.
+TEST(SnapshotRegistry, ProgressAndLocalityDependOnTheOptions) {
+  struct Expect {
+    const char* spec;
+    bool wait_free;
+    bool local;
+  };
+  for (const Expect& e : {
+           Expect{"full_snapshot", true, false},
+           Expect{"full_snapshot:value=versioned", false, true},
+           Expect{"fig3_cas:value=versioned", true, true},
+           Expect{"fig3_cas:value=versioned,reclaim=hp", false, true},
+           Expect{"fig3_cas_batch", true, true},
+           Expect{"fig3_cas_batch:value=versioned", false, true},
+           Expect{"double_collect", false, true},
+       }) {
+    auto snap = make_snapshot(e.spec, 4, 2);
+    EXPECT_EQ(snap->is_wait_free(), e.wait_free) << e.spec;
+    EXPECT_EQ(snap->is_local(), e.local) << e.spec;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Sequential scan contract through the registry: unsorted, duplicate, and
@@ -705,11 +700,11 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, RegistryFlagsTest,
 // ---------------------------------------------------------------------------
 
 class RegistryScanContractTest
-    : public ::testing::TestWithParam<const SnapshotInfo*> {};
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RegistryScanContractTest, UnsortedDuplicateAndEmptyIndexSets) {
   constexpr std::uint32_t kM = 12;
-  auto snap = test::make_snapshot(*GetParam(), kM, 3);
+  auto snap = make_snapshot(GetParam(), kM, 3);
   exec::ScopedPid pid(0);
   for (std::uint32_t i = 0; i < kM; ++i) snap->update(i, 100 + i);
 
@@ -729,7 +724,7 @@ TEST_P(RegistryScanContractTest, UnsortedDuplicateAndEmptyIndexSets) {
 
 TEST_P(RegistryScanContractTest, ScanAllMatchesSequentialModel) {
   constexpr std::uint32_t kM = 9;
-  auto snap = test::make_snapshot(*GetParam(), kM, 3);
+  auto snap = make_snapshot(GetParam(), kM, 3);
   exec::ScopedPid pid(0);
   std::vector<std::uint64_t> model(kM, 0);
   // Interleave updates and partial scans, then compare the complete scan.
@@ -742,9 +737,9 @@ TEST_P(RegistryScanContractTest, ScanAllMatchesSequentialModel) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllImplementations, RegistryScanContractTest,
-                         ::testing::ValuesIn(test::snapshot_impls()),
-                         test::snapshot_param_name);
+INSTANTIATE_TEST_SUITE_P(AllSpecs, RegistryScanContractTest,
+                         ::testing::ValuesIn(test::snapshot_specs()),
+                         test::spec_param_name);
 
 }  // namespace
 }  // namespace psnap::registry

@@ -1,7 +1,7 @@
 // Coverage assertion for the fuzz target enumeration (verify/fuzz/target.h):
-// every sim-safe registry entry, on every plane it supports, with a
-// coalescing ingest variant for every batch-capable combo, appears exactly
-// once.  The expected set is recomputed here straight from the registries
+// every sim-safe registry entry, on every value × reclaim plane it
+// declares, with a coalescing ingest variant for every batch-capable combo,
+// appears exactly once, and no two targets build the same object.  The expected set is recomputed here straight from the registries
 // -- no hand-curated impl tables -- so registering a new implementation
 // without fuzz coverage fails this test, not code review.
 #include "verify/fuzz/target.h"
@@ -10,6 +10,7 @@
 
 #include <set>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "registry/registry.h"
@@ -17,28 +18,15 @@
 namespace psnap::verify::fuzz {
 namespace {
 
-std::vector<std::string> planes_of(const std::string& values) {
-  std::vector<std::string> planes;
-  std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string::npos) comma = values.size();
-    planes.push_back(values.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return planes;
-}
-
 TEST(FuzzCoverage, EverySimSafeImplPlaneAndKnobComboIsEnumerated) {
   std::set<std::string> expected;
   for (const registry::SnapshotInfo* info :
        registry::SnapshotRegistry::instance().all()) {
     if (!info->sim_safe) continue;
-    for (const std::string& plane : planes_of(info->values)) {
-      expected.insert("snap " + info->name + ":value=" + plane);
+    for (const std::string& spec : registry::snapshot_specs(*info)) {
+      expected.insert("snap " + spec);
       if (info->supports_batch) {
-        expected.insert("snap " + info->name + ":value=" + plane +
-                        ",batch=3,coalesce_window=6");
+        expected.insert("snap " + spec + ",batch=3,coalesce_window=6");
       }
     }
   }
@@ -61,9 +49,29 @@ TEST(FuzzCoverage, EverySimSafeImplPlaneAndKnobComboIsEnumerated) {
     EXPECT_TRUE(expected.count(spec))
         << "fuzz target not derived from the registry: " << spec;
   }
-  // The seed registries alone yield dozens of combos; a collapsed
+  // The built-in registries alone yield dozens of combos; a collapsed
   // enumeration (e.g. only default planes) cannot reach this floor.
-  EXPECT_GE(actual.size(), 30u);
+  EXPECT_GE(actual.size(), 47u);
+}
+
+TEST(FuzzCoverage, NoTwoTargetsBuildTheSameObject) {
+  // A target that rebuilds another's object (a named twin of a plane
+  // option) spends the campaign budget twice on one configuration.  The
+  // identity is the built class, its self-reported name and planes, and
+  // whether writes go through the coalescing front-end.
+  std::set<std::string> seen;
+  for (const FuzzTarget& target : enumerate_snapshot_targets()) {
+    registry::IngestKnobs knobs;
+    auto snap = registry::make_snapshot(target.spec, 4, 2, &knobs);
+    const std::string identity =
+        std::string(typeid(*snap).name()) + "|" + std::string(snap->name()) +
+        "|" + std::string(snap->value_plane()) + "|" +
+        std::string(snap->reclaim_plane()) +
+        (target.coalesced ? "|coalesced" : "");
+    EXPECT_TRUE(seen.insert(identity).second)
+        << target.spec << " builds the same object as an earlier target ("
+        << identity << ")";
+  }
 }
 
 TEST(FuzzCoverage, CapabilityFlagsMatchTheRegistryEntry) {

@@ -17,8 +17,8 @@
 //   * Section 2.1 validity for active-set histories;
 //   * no operation throws or crashes.
 //
-// Every snapshot plan runs once per supported reclamation plane
-// (reclaim=ebr and reclaim=hp twins of the same spec), so the hazard
+// Every snapshot plan runs once per reclamation plane its entry declares
+// (the same spec on reclaim=ebr and on reclaim=hp), so the hazard
 // path sees the corpus too -- on real threads, where its protect/validate
 // loops actually race.
 #include <gtest/gtest.h>
@@ -209,16 +209,11 @@ NativeRun run_active_set_plan_native(const FuzzTarget& target,
   return result;
 }
 
-// Appends options to a spec that may or may not already carry some.
-std::string with_options(const std::string& spec, const std::string& extra) {
-  return spec + (spec.find(':') == std::string::npos ? ":" : ",") + extra;
-}
-
 // A pinned snapshot token expanded to one reclamation plane: the original
-// spec with reclaim=<plane> appended, plus the plan its seeds regenerate.
+// spec on that plane, plus the plan its seeds regenerate.
 struct NativeCase {
   std::string token;   // the pin it came from, for diagnostics
-  FuzzTarget target;   // spec extended with reclaim=<plane>
+  FuzzTarget target;   // the token's spec on one declared reclaim plane
   FuzzPlan plan;
 };
 
@@ -236,17 +231,23 @@ TEST(FuzzNativeSmokeTest, PinnedSnapshotPlansPassPlaneOraclesPerReclaimPlane) {
     const registry::SnapshotInfo* info =
         registry::SnapshotRegistry::instance().find(name);
     ASSERT_NE(info, nullptr) << token;
-    for (const char* plane : {"ebr", "hp"}) {
-      if (!registry::reclaim_plane_supported(info->reclaims, plane)) continue;
-      FuzzTarget target = target_from_spec(
-          FuzzTarget::Kind::kSnapshot,
-          with_options(spec.target.spec, std::string("reclaim=") + plane));
+    // The registry's combos on the token's value plane differ only in
+    // their ",reclaim=<plane>" suffix; carry each onto the token's spec.
+    const std::string stem =
+        std::string(name) + ":value=" +
+        registry::Options::parse(opts).get_string(
+            "value", registry::default_value_plane(info->values));
+    for (const std::string& combo : registry::snapshot_specs(*info)) {
+      if (combo != stem && combo.rfind(stem + ",", 0) != 0) continue;
+      FuzzTarget target =
+          target_from_spec(FuzzTarget::Kind::kSnapshot,
+                           spec.target.spec + combo.substr(stem.size()));
       cases.push_back(
           {token, target, generate_plan(target, spec.shape, spec.op_seed)});
     }
   }
   // Every pinned snapshot token names a fig3_cas-family spec, all of which
-  // grew hp support in this PR -- each pin must fan out to both planes.
+  // declare both reclaim planes -- each pin must fan out to both.
   ASSERT_GE(cases.size(), 2u) << "corpus lost its snapshot pins";
   for (const NativeCase& c : cases) {
     const std::string label = c.token + " as " + c.target.spec;
