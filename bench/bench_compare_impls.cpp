@@ -71,7 +71,7 @@ using namespace psnap;
 namespace {
 
 // Specs to compare: either every registered implementation on each of its
-// declared value x reclaim planes, or the --impls list (each entry a
+// declared value planes, or the --impls list (each entry a
 // registry spec, so ablation options like "fig3_cas:cas=false" work from
 // the command line).
 std::vector<std::string> impl_specs(const std::string& impls_flag) {
@@ -86,8 +86,8 @@ std::vector<std::string> impl_specs(const std::string& impls_flag) {
   return specs;
 }
 
-// Builds a spec's snapshot with an ingest-knob sink, so the universal
-// reclaim=/shards=/affinity= options work from --impls (with the
+// Builds a spec's snapshot with an ingest-knob sink, so the
+// shards=/affinity= options work from --impls (with the
 // registry's did-you-mean diagnostics for typos).  affinity=segment
 // registers workers shard-affine, which draws pids from blocks spanning
 // the FULL registry capacity -- the object is then sized to it (the

@@ -12,7 +12,6 @@
 #include "intervals/interval_set.h"
 #include "primitives/primitives.h"
 #include "reclaim/ebr.h"
-#include "reclaim/hazard.h"
 #include "registry/registry.h"
 
 namespace {
@@ -89,17 +88,6 @@ void BM_EbrRetireReclaim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EbrRetireReclaim);
-
-void BM_HazardProtect(benchmark::State& state) {
-  reclaim::HazardDomain domain;
-  std::atomic<std::uint64_t*> src{new std::uint64_t(7)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(domain.protect(src, 0));
-    domain.clear(0);
-  }
-  delete src.load();
-}
-BENCHMARK(BM_HazardProtect);
 
 void BM_IntervalMerge(benchmark::State& state) {
   auto base = intervals::IntervalSet::from_intervals(

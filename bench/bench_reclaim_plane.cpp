@@ -1,5 +1,5 @@
-// Experiment RCL -- the reclamation plane's tail-latency story (ISSUE 10):
-// per-segment EBR sharding and the reclaim=ebr|hp knob, measured.
+// Experiment RCL -- the reclamation plane's tail-latency story: per-segment
+// EBR sharding (shards=<k>), measured.
 //
 // Regenerated tables:
 //   RCLa: update throughput + scan tail latency vs EBR shard count
@@ -16,14 +16,14 @@
 //         deterministic so the committed artifact is stable:
 //           * global EBR: residency grows without bound (~1000/kop);
 //           * sharded EBR, reader parked in segment 0, traffic in
-//             segments 1..3: residency stays at the retire threshold;
-//           * hazard pointers: residency stays bounded by the hazard-scan
-//             threshold no matter where the traffic goes -- the parked
-//             reader pins exactly the records its hazards name.
+//             segments 1..3: residency stays at the retire threshold.
+//             (Traffic in the parked reader's own segment would still
+//             grow without bound.)
 //
 // Wall-clock numbers are hardware-specific; the *shape* -- sharded EBR
-// recovering the unsharded throughput under a localized reader, and hp
-// turning unbounded residency into a constant -- is the reproduced claim
+// recovering the unsharded throughput under a localized reader, and
+// turning unbounded residency into a constant when the reader is parked
+// outside the writers' segments -- is the reproduced claim
 // (tests/core/reclaim_plane_test.cpp pins it qualitatively in CI).
 #include <algorithm>
 #include <atomic>
@@ -233,11 +233,6 @@ void table_parked_residency(std::uint64_t kops, bench::JsonReport& report) {
     sharded.reclaim_shards = 4;
     configs.push_back({"ebr shards=4", sharded});
   }
-  {
-    core::CasSnapshotOptions hp;
-    hp.use_hp = true;
-    configs.push_back({"hp", hp});
-  }
 
   TablePrinter table({"reclaim plane", "outstanding max", "outstanding/kop",
                       "pool fresh allocs"});
@@ -261,8 +256,8 @@ void table_parked_residency(std::uint64_t kops, bench::JsonReport& report) {
               "(protection loaded in segment 0, then silent; " +
                   std::to_string(kops) +
                   "k single-threaded updates in segments 1..3) -- global "
-                  "EBR grows without bound, sharded EBR and hp stay at "
-                  "their thresholds");
+                  "EBR grows without bound, sharded EBR stays at its "
+                  "retire threshold");
   std::cout << "\n";
 }
 
@@ -291,8 +286,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Experiment RCL: reclamation planes -- EBR sharding and hazard "
-      "pointers\n\n");
+      "Experiment RCL: reclamation -- EBR sharding by component "
+      "segment\n\n");
   bench::JsonReport report;
   try {
     table_shard_sweep(writers, seconds, report);

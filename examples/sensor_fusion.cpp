@@ -131,9 +131,9 @@ int main(int argc, char** argv) {
     // Capacity: one pid per concurrent fusion reader plus the sensor
     // threads (reader generations recycle pids, so the flood never needs
     // more than one generation's worth at a time).  The knob sink makes
-    // the universal reclaim=/shards=/affinity= options usable from
-    // --impl; affinity=segment draws pids from shard blocks spanning the
-    // full registry capacity, so the array is sized to it in that mode.
+    // the shards=/affinity= options usable from --impl; affinity=segment
+    // draws pids from shard blocks spanning the full registry capacity,
+    // so the array is sized to it in that mode.
     array_ptr = psnap::registry::make_snapshot(
         flags.get_string("impl"), sensors0, /*max_threads=*/readers + 6,
         &knobs);
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
     return psnap::exec::ThreadHandle();
   };
   std::printf(
-      "value plane: %s (%s payloads), publish: %s (%s), reclaim: %s "
+      "value plane: %s (%s payloads), publish: %s (%s), reclaim: ebr "
       "(%u shard%s, affinity=%s)\n",
       std::string(array.value_plane()).c_str(),
       blob ? "struct SensorReading" : "packed u64", publish.c_str(),
@@ -207,7 +207,6 @@ int main(int argc, char** argv) {
       : tier == psnap::core::BatchAtomicity::kAmortized
           ? "amortized"
           : "per-component",
-      std::string(array_ptr->reclaim_plane()).c_str(),
       static_cast<unsigned>(array_ptr->reclaim_shards()),
       array_ptr->reclaim_shards() == 1 ? "" : "s", knobs.affinity.c_str());
 

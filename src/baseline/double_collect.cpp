@@ -18,7 +18,7 @@ DoubleCollectSnapshotT<Value>::DoubleCollectSnapshotT(
       initial_value_(initial_value),
       max_collects_(max_collects_per_scan) {
   PSNAP_ASSERT(initial_components > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
   for (std::uint32_t i = 0; i < initial_components; ++i) {
     SimpleRecord* rec = make_record(/*counter=*/i, core::kInitPid);

@@ -20,7 +20,7 @@ FullSnapshotT<Value>::FullSnapshotT(std::uint32_t initial_components,
       bound_(bound),
       initial_value_(initial_value) {
   PSNAP_ASSERT(initial_components > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
   for (std::uint32_t i = 0; i < initial_components; ++i) {
     r_.at(i).init(make_initial(initial_value, i), /*label=*/i);
@@ -92,10 +92,17 @@ auto FullSnapshotT<Value>::embedded_full_scan(core::ScanContext& ctx,
   std::span<const FullRecord*> prev = ctx.arena.take<const FullRecord*>(m);
   std::span<const FullRecord*> cur = ctx.arena.take<const FullRecord*>(m);
   bool have_prev = false;
+  std::uint64_t collect_bound =
+      core::moved_twice_collect_bound(n_, widest_batch_.get());
 
   while (true) {
     ++stats.collects;
-    PSNAP_ASSERT_MSG(stats.collects <= 2ull * n_ + 3,
+    // Re-read the widest batch before failing: one noted after the scan
+    // began may have widened the bound.
+    if (stats.collects > collect_bound) {
+      collect_bound = core::moved_twice_collect_bound(n_, widest_batch_.get());
+    }
+    PSNAP_ASSERT_MSG(stats.collects <= collect_bound,
                      "full-snapshot embedded scan exceeded its collect bound");
     const FullRecord* borrow = nullptr;
     for (std::uint32_t j = 0; j < m; ++j) {
@@ -308,6 +315,7 @@ void FullSnapshotT<Value>::do_update_batch(std::span<const EntryT> entries,
     // substituted for "record".
     std::vector<ValueType>& vals = embedded_full_scan(ctx, m);
     const std::uint64_t batch_counter = ++counter_.at(pid).value;
+    widest_batch_.note(count);
     for (std::uint32_t j = 0; j < count; ++j) {
       auto rec = record_pool_.acquire(ebr_);
       fill(*merged[j], rec->value);

@@ -32,6 +32,7 @@
 
 #include "common/padding.h"
 #include "core/growth.h"
+#include "core/moved_twice.h"
 #include "core/partial_snapshot.h"
 #include "core/record.h"  // kInitPid
 #include "core/scan_context.h"
@@ -182,6 +183,8 @@ class FullSnapshotT final : public core::PartialSnapshot {
   core::ComponentStorage<Slot> r_;
   reclaim::EbrDomain ebr_;
   core::PerPidStorage<CachelinePadded<std::uint64_t>> counter_;
+  // Widens the embedded scan's collect bound (core/moved_twice.h).
+  core::WidestBatch widest_batch_;
   // Owner's in-flight batch descriptor, per pid (versioned plane) -- read
   // only by the destructor's crash sweep; see the twin in cas_psnap.h.
   core::PerPidStorage<CachelinePadded<std::atomic<BatchDesc*>>> active_batch_;

@@ -11,26 +11,6 @@
 
 namespace psnap::core {
 
-namespace {
-
-// CAS-mode condition-(2) bookkeeping record: per location, the distinct
-// record TAGS seen there in first-seen order.  Tags ((pid, counter) pairs)
-// rather than pointers, because tag equality is record identity on BOTH
-// reclamation planes: published tags are never reused, initial records'
-// (kInitPid, index) can collide with no real pid, and -- unlike pointers
-// under hp, where an address can be recycled into a fresh publication
-// between collects -- a tag read from a protected record stays meaningful
-// after the protection moves on.  Arena storage zero-fills this, which is
-// exactly its empty state.  The write-ablation mode's per-pid table is
-// core::MovedTwiceTable.
-struct PerLocation {
-  std::uint64_t ctrs[3];
-  std::uint32_t pids[3];
-  std::uint32_t count;
-};
-
-}  // namespace
-
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
     std::uint32_t initial_components, std::uint32_t max_processes)
@@ -44,29 +24,19 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
       n_(max_processes),
       initial_value_(initial_value),
       options_(options),
-      record_pool_(options.use_hp ? 1 : options.reclaim_shards),
+      record_pool_(options.reclaim_shards),
       as_(std::make_unique<activeset::FaiCasActiveSetT<Policy>>(
           max_processes, options.active_set)),
-      ebr_(options.use_hp ? 1 : options.reclaim_shards,
-           kComponentSegmentSize),
-      hp_(options.use_hp ? std::make_unique<reclaim::HazardDomain>()
-                         : nullptr) {
+      ebr_(options.reclaim_shards, kComponentSegmentSize) {
   PSNAP_ASSERT(initial_components > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
-  // The registry rejects these spellings before construction; the asserts
-  // are the backstop for direct construction.
-  PSNAP_ASSERT_MSG(!(options.use_hp && !options.use_cas),
-                   "reclaim=hp requires CAS publication: the write "
-                   "ablation's moved-twice borrow may return a record no "
-                   "hazard protects");
+  // The registry rejects this spelling before construction; the assert is
+  // the backstop for direct construction.
   PSNAP_ASSERT_MSG(!(Value::kVersioned && options.reclaim_shards > 1),
                    "the versioned plane requires shards == 1 (batch "
                    "helping dereferences records on arbitrary components; "
-                   "use reclaim=hp for bounded tail latency instead)");
-  PSNAP_ASSERT_MSG(!(options.use_hp && options.reclaim_shards > 1),
-                   "reclaim=hp already bounds a stalled reader per record; "
-                   "shards apply to the ebr plane only");
+                   "shard a collect plane instead)");
   for (std::uint32_t i = 0; i < initial_components; ++i) {
     r_.at(i)->init(make_initial_record<Value>(initial_value, i), /*label=*/i);
   }
@@ -154,6 +124,9 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
   // is unavailable, so we fall back to Figure 1's moved-twice per-process
   // rule, population-adaptively sized like Figure 1's (core/moved_twice.h).
   // The table only exists in that mode; CAS-mode scans pay nothing for it.
+  //
+  // Record identity is pointer identity: the whole function is pinned, so
+  // no record it has seen can be recycled into a new publication under it.
   std::span<PerLocation> seen_loc;
   std::optional<MovedTwiceTable<Rec>> seen_pid;
   if (options_.use_cas) {
@@ -164,96 +137,67 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
 
   // Paper: "let (v, view, c, id) be the third value seen in that
   // location".  Unlike Figure 1 this is by observation order, not by
-  // highest counter.  Distinctness is judged by tag (see PerLocation).
-  auto note_loc = [&seen_loc](std::size_t j, std::uint32_t rec_pid,
-                              std::uint64_t rec_ctr) -> bool {
+  // highest counter.
+  auto note_loc = [&seen_loc](std::size_t j, const Rec* rec) -> bool {
     PerLocation& s = seen_loc[j];
     for (std::uint32_t k = 0; k < s.count; ++k) {
-      if (s.pids[k] == rec_pid && s.ctrs[k] == rec_ctr) return false;
+      if (s.recs[k] == rec) return false;
     }
-    s.pids[s.count] = rec_pid;
-    s.ctrs[s.count] = rec_ctr;
-    ++s.count;
+    s.recs[s.count++] = rec;
     return s.count == 3;
   };
   auto note_move = [&seen_pid](const Rec* rec) {
     return seen_pid->note_move(rec);
   };
 
-  // Double-buffered collect state: record pointers plus their tags.  The
-  // change-detection and double-collect-exit comparisons use the TAGS --
-  // under hp a prev-collect pointer may already dangle (and its address may
-  // even have been recycled into a fresh publication), while tags read from
-  // protected records stay meaningful forever.  The pointers are only
-  // dereferenced where protection is live: cur[j] inside the collect that
-  // loaded it (EBR: the whole function is pinned).
+  // Double-buffered collect state.
   std::span<const Rec*> prev = ctx.arena.take<const Rec*>(args.size());
   std::span<const Rec*> cur = ctx.arena.take<const Rec*>(args.size());
-  std::span<std::uint64_t> prev_ctr = ctx.arena.take<std::uint64_t>(args.size());
-  std::span<std::uint64_t> cur_ctr = ctx.arena.take<std::uint64_t>(args.size());
-  std::span<std::uint32_t> prev_pid = ctx.arena.take<std::uint32_t>(args.size());
-  std::span<std::uint32_t> cur_pid = ctx.arena.take<std::uint32_t>(args.size());
   bool have_prev = false;
 
-  const std::uint64_t collect_bound =
-      options_.use_cas ? 2ull * args.size() + 3 : 2ull * n_ + 3;
+  std::uint64_t collect_bound =
+      options_.use_cas ? 2ull * args.size() + 3
+                       : moved_twice_collect_bound(n_, widest_batch_.get());
 
   while (true) {
     ++stats.collects;
     // Theorem 3's wait-freedom argument: every pair of differing
     // consecutive collects means some location changed, and a location can
     // change at most twice before its third distinct value fires
-    // condition (2); hence at most 2r+1 collects in CAS mode.
+    // condition (2); hence at most 2r+1 collects in CAS mode.  Write mode
+    // re-reads the widest batch before failing: one noted after the scan
+    // began may have widened its bound.
+    if (stats.collects > collect_bound && !options_.use_cas) {
+      collect_bound = moved_twice_collect_bound(n_, widest_batch_.get());
+    }
     PSNAP_ASSERT_MSG(stats.collects <= collect_bound,
                      "figure-3 embedded scan exceeded its collect bound");
-    if (hp_ != nullptr) view.resize(args.size());
     const Rec* borrow = nullptr;
     for (std::size_t j = 0; j < args.size(); ++j) {
       if (borrow != nullptr) {
         // Collect-length parity after the borrow fired: the remaining
         // locations are still read (one counted step each, as always), but
-        // nothing is noted or dereferenced -- under hp these loads carry
-        // no hazard.
+        // nothing is noted or dereferenced.
         (void)r_.at(args[j])->load();
         continue;
       }
-      const Rec* rec = hp_ ? protect_component(args[j], kHazRecord)
-                           : r_.at(args[j])->load();
+      const Rec* rec = r_.at(args[j])->load();
       cur[j] = rec;
-      cur_pid[j] = rec->pid;
-      cur_ctr[j] = rec->counter;
-      if (hp_ != nullptr) {
-        // Copy the entry NOW, while the kHazRecord hazard still covers
-        // rec.  At the double-collect exit these per-entry copies ARE the
-        // result: tag equality across the last two collects proves both
-        // read the same records, but the records themselves may be
-        // recycled the moment the hazard moves to the next location.
-        view[j].index = args[j];
-        Value::copy(rec->value, view[j].value);
-      }
       if (options_.use_cas) {
-        if (note_loc(j, cur_pid[j], cur_ctr[j])) borrow = rec;
-      } else if (have_prev && (cur_pid[j] != prev_pid[j] ||
-                               cur_ctr[j] != prev_ctr[j])) {
+        if (note_loc(j, rec)) borrow = rec;
+      } else if (have_prev && rec != prev[j]) {
         borrow = note_move(rec);
       }
       if (borrow != nullptr) {
         stats.borrowed = true;
         // Copy (capacity-reusing, down to the blob plane's per-entry byte
-        // buffers) rather than reference, and IMMEDIATELY: under EBR the
-        // borrowed record is only guaranteed live while this operation
-        // stays pinned; under hp it is only safe while the hazard that
-        // just validated it still stands.  (A write-ablation borrow -- a
-        // record remembered from an earlier collect -- is EBR-only: hp
-        // rejects use_cas=false at construction.)
+        // buffers) rather than reference: the borrowed record is only
+        // guaranteed live while this operation stays pinned.
         view = borrow->view;
       }
     }
     if (borrow != nullptr) return view;
-    if (have_prev &&
-        std::equal(cur_pid.begin(), cur_pid.end(), prev_pid.begin()) &&
-        std::equal(cur_ctr.begin(), cur_ctr.end(), prev_ctr.begin())) {
-      if (hp_ != nullptr) return view;  // filled under protection above
+    if (have_prev && std::equal(cur.begin(), cur.end(), prev.begin())) {
       // resize+assign rather than clear+push_back keeps existing entries'
       // payload capacity (a blob-plane entry re-fills in place).
       view.resize(args.size());
@@ -264,34 +208,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
       return view;
     }
     std::swap(prev, cur);
-    std::swap(prev_pid, cur_pid);
-    std::swap(prev_ctr, cur_ctr);
     have_prev = true;
-  }
-}
-
-template <class Policy, class Value>
-auto CasPartialSnapshotT<Policy, Value>::protect_component(std::uint32_t i,
-                                                           std::uint32_t hz)
-    -> const Rec* {
-  const Rec* p = r_.at(i)->load();
-  if (hp_ == nullptr) return p;
-  while (true) {
-    hp_->set(hz, p);
-    // Michael's protect protocol: republish until the location still holds
-    // the protected pointer AFTER the hazard store is visible (both
-    // seq_cst), so a reclaimer's scan that missed our hazard must have run
-    // before we could have read its victim.  The re-read is a non-step
-    // (peek_sync): under the sim scheduler no schedule point separates the
-    // store from the validation, so this loop exits first try and step
-    // counts stay plane-invariant.
-    const Rec* q = r_.at(i)->peek_sync();
-    if (q == p) return p;
-    // The head moved before our hazard settled; adopt the newer head.
-    // Returning a newer record than the counted load read is sound: the
-    // component read linearizes at the validating re-read, which is still
-    // inside this operation.
-    p = q;
   }
 }
 
@@ -301,10 +218,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
                                                    Fill&& fill) {
   if constexpr (Value::kVersioned) {
     tls_op_stats().reset();
-    // fig3's try-once publication, unchanged: a failed singleton update
-    // has already linearized immediately before its winner, so it does
-    // not retry (batch code does -- see do_update_batch).
-    (void)do_update_versioned(i, fill);
+    do_update_versioned(i, fill);
     return;
   }
 
@@ -315,23 +229,20 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
   ScanContext& ctx = tls_scan_context();
   ctx.begin();
   reclaim::ShardedEbr::MultiGuard guard(ebr_);
-  HpClear hp_clear{hp_.get()};
-  if (hp_ == nullptr) guard.pin_component(i);
+  guard.pin_component(i);
 
   // Figure 3 reads the current record before anything else; the CAS at the
   // end succeeds only if the component was not updated in between.
   // Release mode: acquire load; the record is only compared by address
   // until the CAS, and if dereferenced (retire path) the acquire pairs
-  // with the publishing CAS's release.  hp: the head stays protected in
-  // kHazOld through the CAS below, which also closes the ABA window -- a
-  // protected record cannot be recycled, so the CAS can only succeed
-  // against the very record this load read.
-  const Rec* old = protect_component(i, kHazOld);
+  // with the publishing CAS's release.  The pin keeps the record from
+  // being recycled, which also closes the CAS's ABA window.
+  const Rec* old = r_.at(i)->load();
 
   as_->get_set(ctx.scanners);
   tls_op_stats().getset_size = ctx.scanners.size();
 
-  if (hp_ == nullptr) guard.pin_meta();
+  guard.pin_meta();
   ctx.union_args.clear();
   for (std::uint32_t p : ctx.scanners) {
     // try_at: a pid that joined without ever announcing has no slot; an
@@ -340,30 +251,17 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
     // segment install happens-before the join its getSet observed.)
     const auto* slot = s_.try_at(p);
     const IndexSet* announced = slot ? (*slot)->load() : nullptr;
-    if (hp_ != nullptr) {
-      // Validated hazard over the announcement while its indices are
-      // copied (EBR: the meta pin above protects announcements wholesale).
-      // The load above is the counted step; the validation re-reads are
-      // non-step peeks, as in protect_component.
-      while (announced != nullptr) {
-        hp_->set(kHazAnnounce, announced);
-        const IndexSet* again = (*slot)->peek_sync();
-        if (again == announced) break;
-        announced = again;
-      }
-    }
     if (announced != nullptr) {
       ctx.union_args.insert(ctx.union_args.end(), announced->indices.begin(),
                             announced->indices.end());
     }
   }
-  if (hp_ != nullptr) hp_->clear(kHazAnnounce);
   std::sort(ctx.union_args.begin(), ctx.union_args.end());
   ctx.union_args.erase(
       std::unique(ctx.union_args.begin(), ctx.union_args.end()),
       ctx.union_args.end());
 
-  if (hp_ == nullptr) guard.pin_components(ctx.union_args);
+  guard.pin_components(ctx.union_args);
   const ViewV& view = embedded_scan(ctx.union_args, ctx);
 
   // Counter is bumped only when the record is actually published
@@ -400,7 +298,6 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
     // A CasObject has no store operation, so emulate the register write
     // with a CAS retry loop; this path exists only to measure what the
     // paper's switch to CAS buys (Section 4's second modification).
-    // EBR-only (hp rejects use_cas=false), so `cur` needs no hazard.
     ++counter_.at(pid).value;
     const Rec* cur = old;
     while (true) {
@@ -415,29 +312,25 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
 
 template <class Policy, class Value>
 template <class Fill>
-bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
+void CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
                                                              Fill&& fill) {
   if constexpr (!Value::kVersioned) {
     (void)i;
     (void)fill;
     PSNAP_ASSERT_MSG(false, "do_update_versioned on a non-versioned plane");
-    return true;
   } else {
     // Versioned plane: append one node to the component's version chain.
     // No getSet, no embedded scan -- the write path's interference is a
     // constant handful of steps no matter how many scanners are live.
-    // Callers reset tls_op_stats(); batch code invokes this in a retry
-    // loop, so the stats accumulate across attempts by design.
+    // fig3's try-once publication, unchanged: a failed update has already
+    // linearized immediately before its winner, so it does not retry.
     PSNAP_ASSERT(i < size_.load());
     std::uint32_t pid = exec::ctx().pid;
     PSNAP_ASSERT(pid < n_);
     reclaim::ShardedEbr::MultiGuard guard(ebr_);
-    HpClear hp_clear{hp_.get()};
-    if (hp_ == nullptr) guard.pin_component(i);  // == pin(0): one shard
+    guard.pin_component(i);  // == pin(0): one shard
 
-    // hp: the head stays protected in kHazOld through the stamp fix and
-    // the CAS (which also closes the ABA window, as in the collect path).
-    const Rec* old = protect_component(i, kHazOld);
+    const Rec* old = r_.at(i)->load();
     // Fix the displaced head's version BEFORE publishing over it: chain
     // versions then never decrease in publication order, which is what
     // the reader walk's termination and cut arguments rest on
@@ -468,30 +361,15 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
       // predates every future epoch), so exactly old->prev retires; the
       // live unretired set per component stays {head, head->prev}.  This
       // runs before the self-stamp's first step on purpose: an injected
-      // halt below can orphan no node.  old->prev is safe to read on both
-      // planes: old is still protected (kHazOld / the pin).
+      // halt below can orphan no node.  old->prev is safe to read: the pin
+      // still protects old.
       if (const Rec* trim = old->prev.load(std::memory_order_relaxed)) {
         recycle_record(i, trim);
       }
       // Self-stamp (the update's linearization point, unless a racing
       // reader or displacer already fixed it).
-      if (hp_ != nullptr) {
-        // `node` left our ownership at the CAS; re-protect before
-        // dereferencing.  If the head is still `node` the hazard is valid
-        // (a head is never retired).  If it moved on, skip: whoever
-        // displaced `node` ensure_stamped it BEFORE its CAS, so the stamp
-        // is already fixed.  (If node's address was recycled into a fresh
-        // publication on this same component, the stamp call lands on a
-        // live head -- exactly what any concurrent reader may do, and a
-        // no-op once that record is stamped.)
-        hp_->set(kHazPrev, node);
-        if (r_.at(i)->peek_sync() == node) {
-          primitives::ensure_stamped<Policy>(*node, camera_);
-        }
-      } else {
-        primitives::ensure_stamped<Policy>(*node, camera_);
-      }
-      return true;
+      primitives::ensure_stamped<Policy>(*node, camera_);
+      return;
     }
     tls_op_stats().cas_failed = true;
     // A failed update linearizes immediately before the update that
@@ -505,18 +383,8 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
     // here), or a later node whose publisher already fixed the
     // winner's stamp before displacing it -- ensure_stamped settles
     // both, and resolves the batch first when the winner is a batch
-    // member.  hp cannot deref the unprotected `prev`; it re-reads the
-    // CURRENT head under a hazard instead, which settles the winner by
-    // the same induction (every displaced node was stamped by its
-    // displacer pre-CAS, so stamping the current head pins the whole
-    // prefix, the winner included).
-    if (hp_ != nullptr) {
-      const Rec* head = protect_component(i, kHazPrev);
-      primitives::ensure_stamped<Policy>(*head, camera_);
-    } else {
-      primitives::ensure_stamped<Policy>(*prev, camera_);
-    }
-    return false;
+    // member.
+    primitives::ensure_stamped<Policy>(*prev, camera_);
   }
 }
 
@@ -538,9 +406,8 @@ void CasPartialSnapshotT<Policy, Value>::resolve_batch(const BatchDesc& desc) {
           // `displaced` is reachable by any future reader.
           if (const Rec* trim =
                   displaced->prev.load(std::memory_order_relaxed)) {
-            // Descriptors exist only in ebr mode (hp batches fall back to
-            // singleton publication), and the versioned plane forces one
-            // shard, so meta() is THE domain here.
+            // The versioned plane forces one shard, so meta() is THE
+            // domain here.
             record_pool_.recycle(ebr_.meta(), const_cast<Rec*>(trim));
           }
         });
@@ -559,41 +426,6 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
   PSNAP_ASSERT(pid < n_);
   const std::uint32_t m = size_.load();
   for (const EntryT& e : entries) PSNAP_ASSERT(e.index < m);
-
-  if (hp_ != nullptr) {
-    // hp fallback: per-entry singleton publication, decided BEFORE the
-    // ScanContext is touched (do_update/do_update_versioned begin() the
-    // shared context themselves, which would clobber any merged-entry
-    // scratch held across them).  Entries apply in order, so duplicate
-    // indices degenerate to last-wins exactly like the merged path below.
-    // The versioned batch contract -- no dropped writes -- is kept by
-    // retrying each entry to CAS success; collect entries keep fig3's
-    // try-once CAS.  No descriptor is ever created under hp, so the
-    // install engine's cross-component helping (which dereferences other
-    // components' heads without a hazard) never runs -- the atomicity
-    // downgrade batch_atomicity() reports.
-    for (const EntryT& e : entries) {
-      if constexpr (Value::kVersioned) {
-        tls_op_stats().reset();
-        while (!do_update_versioned(e.index,
-                                    [&](ValueType& out) { fill(e, out); })) {
-        }
-      } else {
-        do_update(e.index, [&](ValueType& out) { fill(e, out); });
-      }
-    }
-    // batch_size reports DISTINCT components, like the merged path.
-    std::uint32_t distinct = 0;
-    for (std::size_t a = 0; a < entries.size(); ++a) {
-      bool seen = false;
-      for (std::size_t b = 0; b < a && !seen; ++b) {
-        seen = entries[b].index == entries[a].index;
-      }
-      if (!seen) ++distinct;
-    }
-    tls_op_stats().batch_size = distinct;
-    return;
-  }
 
   OpStats& stats = tls_op_stats();
   stats.reset();
@@ -716,9 +548,10 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
     // mode and the full-snapshot baseline) counts moves per operation, so
     // a batch's k publications must read as one move.  Record identity
     // (the CAS compare, condition (2)'s per-location values) is pointer
-    // identity under EBR, which same-tag records do not perturb.
+    // identity, which same-tag records do not perturb.
     const std::uint64_t batch_counter = counter_.at(pid).value + 1;
     ++counter_.at(pid).value;
+    if (!options_.use_cas) widest_batch_.note(count);
     for (std::uint32_t j = 0; j < count; ++j) {
       const std::uint32_t i = merged[j]->index;
       auto rec = acquire_record(i);
@@ -793,13 +626,10 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   tls_op_stats().reset();
   ctx.begin();
   reclaim::ShardedEbr::MultiGuard guard(ebr_);
-  HpClear hp_clear{hp_.get()};
 
   canonical_indices_into(indices, ctx.canonical);
-  if (hp_ == nullptr) {
-    guard.pin_meta();
-    guard.pin_components(ctx.canonical);
-  }
+  guard.pin_meta();
+  guard.pin_components(ctx.canonical);
 
   // Publish the announcement only when the set actually changed.  S[pid]
   // is single-writer (only this process stores to it), so peeking our own
@@ -809,17 +639,18 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   // announcement itself is pooled: republishing a changed set reuses a
   // recycled IndexSet's capacity, so steady-state scans -- even ones that
   // alternate between shapes -- allocate nothing.
-  // Dereferencing our own announcement needs no protection on EITHER
-  // plane: S[pid] is single-writer, so only this process ever retires it,
-  // and it has not done so yet.
+  // Dereferencing our own announcement needs no protection: S[pid] is
+  // single-writer, so only this process ever retires it, and it has not
+  // done so yet.  Announcements are not per-component state; they retire
+  // through the meta shard.
   const IndexSet* announced = s_.at(pid)->peek();
   if (announced == nullptr || announced->indices != ctx.canonical) {
-    auto announce = acquire_announce();
+    auto announce = announce_pool_.acquire(ebr_.meta());
     announce->indices.assign(ctx.canonical.begin(), ctx.canonical.end());
     const IndexSet* old_announce = s_.at(pid)->exchange(announce.get());
     announce.release();
     if (old_announce != nullptr) {
-      recycle_announce(old_announce);
+      announce_pool_.recycle(ebr_.meta(), const_cast<IndexSet*>(old_announce));
     }
   }
   as_->join();
@@ -845,79 +676,22 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
     OpStats& stats = tls_op_stats();
     stats.reset();
     reclaim::ShardedEbr::MultiGuard guard(ebr_);
-    HpClear hp_clear{hp_.get()};
     out.resize(indices.size());
-
-    if (hp_ == nullptr) {
-      guard.pin_components(indices);  // one shard on this plane
-      // The scan's linearization point: every stamp fixed before this
-      // fetch-add is <= epoch, every later one is > epoch, so the values
-      // extracted below form a consistent cut -- no announce, no join, no
-      // collect, O(1) steps per requested component.
-      const std::uint64_t epoch = camera_.new_epoch();
-      stats.epoch = epoch;
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        std::uint64_t walked = 0;
-        const Rec* node = primitives::chain_read<Policy>(
-            r_.at(indices[k])->load(), epoch, camera_, walked);
-        out[k] = Value::decode(node->value);
-        stats.chain_nodes = std::max(stats.chain_nodes, walked);
-      }
-      return epoch;
+    guard.pin_components(indices);  // one shard on this plane
+    // The scan's linearization point: every stamp fixed before this
+    // fetch-add is <= epoch, every later one is > epoch, so the values
+    // extracted below form a consistent cut -- no announce, no join, no
+    // collect, O(1) steps per requested component.
+    const std::uint64_t epoch = camera_.new_epoch();
+    stats.epoch = epoch;
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      std::uint64_t walked = 0;
+      const Rec* node = primitives::chain_read<Policy>(
+          r_.at(indices[k])->load(), epoch, camera_, walked);
+      out[k] = Value::decode(node->value);
+      stats.chain_nodes = std::max(stats.chain_nodes, walked);
     }
-
-    // hp: hazards can protect at most {head, head->prev} per component --
-    // anything older may already be freed (the lazy trim retires
-    // old->prev on every publication), so the walk cannot go deeper.
-    // Depth 2 is exactly the chain-trim invariant's live set; needing the
-    // third node means at least two updates published on this component
-    // AFTER our fetch-add, and we restart the WHOLE scan with a fresh
-    // epoch rather than walk unprotected memory.  Every stamp fixed
-    // before the new fetch-add is <= the new epoch, so a quiescent
-    // component always satisfies the depth-2 read; the scan only loops
-    // while concurrent updates keep landing -- lock-free, not wait-free
-    // (is_wait_free() reports this).
-    while (true) {
-      const std::uint64_t epoch = camera_.new_epoch();
-      stats.epoch = epoch;
-      bool restart = false;
-      for (std::size_t k = 0; k < indices.size() && !restart; ++k) {
-        const std::uint32_t i = indices[k];
-        const Rec* head = protect_component(i, kHazOld);
-        // A head is live by definition; stamp-fix it like chain_read does.
-        const std::uint64_t vh =
-            primitives::ensure_stamped<Policy>(*head, camera_);
-        if (vh <= epoch) {
-          out[k] = Value::decode(head->value);
-          stats.chain_nodes = std::max<std::uint64_t>(stats.chain_nodes, 1);
-          continue;
-        }
-        const Rec* w = head->prev.load(std::memory_order_acquire);
-        // vh > epoch rules out the initial record (stamped 0 < every
-        // epoch), and every published update carries a non-null prev.
-        PSNAP_ASSERT(w != nullptr);
-        hp_->set(kHazPrev, w);
-        // Validate the pair-hazard: if the component still heads `head`
-        // AFTER our hazard on `w` is visible, then `w` (== head->prev, an
-        // immutable field) has not been retired -- only the update that
-        // displaces `head` retires it -- so the hazard caught it in time.
-        if (r_.at(i)->peek_sync() != head) {
-          restart = true;
-          break;
-        }
-        // w's stamp was fixed by head's publisher BEFORE head went live,
-        // so this ensure_stamped is a pure read on the fast path.
-        const std::uint64_t vw =
-            primitives::ensure_stamped<Policy>(*w, camera_);
-        if (vw <= epoch) {
-          out[k] = Value::decode(w->value);
-          stats.chain_nodes = std::max<std::uint64_t>(stats.chain_nodes, 2);
-        } else {
-          restart = true;
-        }
-      }
-      if (!restart) return epoch;
-    }
+    return epoch;
   } else {
     (void)indices;
     (void)out;

@@ -56,20 +56,13 @@
 // capacity across lives), and all transient scratch lives in the caller's
 // ScanContext.
 //
-// Reclamation plane (options use_hp / reclaim_shards): records reclaim
-// either through EBR -- sharded by component segment
+// Reclamation (option reclaim_shards): records, announcements and version
+// nodes reclaim through EBR sharded by component segment
 // (reclaim::ShardedEbr), so an operation pins only the shards its
-// components map to and a stalled reader's blast radius is one shard --
-// or through hazard pointers (reclaim::HazardDomain), where a stalled
-// reader blocks at most the handful of records it has protected.  The
-// protocol is IDENTICAL on either plane: every counted step is the same
-// base-object operation; hp's extra hazard publications and validation
-// re-reads are non-steps (peek_sync), exactly like EBR's pins.  The two
-// restrictions, both enforced at construction: hp requires use_cas (the
-// write-ablation's moved-twice borrow may return a record nothing
-// protects), and the versioned plane requires reclaim_shards == 1 (batch
-// helping crosses components, hence shards; hp is the versioned plane's
-// tail-latency answer instead).
+// components map to and a stalled reader's blast radius is one shard.
+// Pins are memory management, not counted steps.  The versioned plane
+// requires reclaim_shards == 1 (batch helping crosses components, hence
+// shards); the constructor asserts it.
 // Dynamic runtime: components live in grow-only segmented storage
 // (add_components() never invalidates a concurrent reader's pointers,
 // num_components() is a monotone count) and per-pid state keys off
@@ -85,13 +78,13 @@
 #include "activeset/faicas_active_set.h"
 #include "common/padding.h"
 #include "core/growth.h"
+#include "core/moved_twice.h"
 #include "core/partial_snapshot.h"
 #include "core/record.h"
 #include "core/scan_context.h"
 #include "primitives/primitives.h"
 #include "primitives/value_plane.h"
 #include "reclaim/ebr.h"
-#include "reclaim/hazard.h"
 #include "reclaim/pool.h"
 #include "reclaim/sharded_ebr.h"
 
@@ -113,9 +106,6 @@ struct CasSnapshotOptions {
   // mode's moved-twice table and bounds the destructor's announcement
   // sweep.  The registry factories mirror it into active_set.bound.
   exec::PidBound bound;
-  // Reclaim through hazard pointers instead of EBR (registry option
-  // reclaim=hp).  Requires use_cas; forces reclaim_shards == 1.
-  bool use_hp = false;
   // EBR shard count (registry option shards=<k>): independent reclamation
   // domains keyed by component segment.  1 = the classic global domain.
   // Rejected on the versioned plane (batch helping crosses shards).
@@ -142,42 +132,20 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   std::string_view name() const override {
     if (!options_.use_cas) return "fig3-write(ablation)";
     if constexpr (Value::kVersioned) {
-      if (options_.use_hp) {
-        return Policy::kCountsSteps ? "fig3-cas-versioned-hp"
-                                    : "fig3-cas-versioned-hp-fast";
-      }
       return Policy::kCountsSteps ? "fig3-cas-versioned"
                                   : "fig3-cas-versioned-fast";
     } else if constexpr (Value::kIndirect) {
-      if (options_.use_hp) {
-        return Policy::kCountsSteps ? "fig3-cas-blob-hp"
-                                    : "fig3-cas-blob-hp-fast";
-      }
       return Policy::kCountsSteps ? "fig3-cas-blob" : "fig3-cas-blob-fast";
     } else {
-      if (options_.use_hp) {
-        return Policy::kCountsSteps ? "fig3-cas-hp" : "fig3-cas-hp-fast";
-      }
       return Policy::kCountsSteps ? "fig3-cas" : "fig3-cas-fast";
     }
   }
-  // The collect protocol stays wait-free on either reclamation plane (hp
-  // validation re-reads are non-steps, and each hazard publication is
-  // validated against the one counted load it protects).  The versioned
-  // plane under hp is only lock-free: a scan whose component's chain
-  // outruns its protected depth restarts with a fresh epoch, which some
-  // concurrent update's progress caused.
-  bool is_wait_free() const override {
-    return !(Value::kVersioned && options_.use_hp);
-  }
+  bool is_wait_free() const override { return true; }
   bool is_local() const override { return true; }
   std::string_view value_plane() const override { return Value::kName; }
-  std::string_view reclaim_plane() const override {
-    return options_.use_hp ? "hp" : "ebr";
-  }
   std::uint32_t reclaim_shards() const override { return ebr_.num_shards(); }
   std::uint64_t reclaim_outstanding() const override {
-    return ebr_.outstanding() + (hp_ ? hp_->outstanding() : 0);
+    return ebr_.outstanding();
   }
 
   std::uint32_t add_components(std::uint32_t count) override;
@@ -195,14 +163,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // or entirely after the whole batch.
   void update_batch(std::span<const BatchEntry> entries) override;
   void update_batch_blob(std::span<const BlobBatchEntry> entries) override;
-  // Under hp the versioned batch path falls back to per-entry singleton
-  // publication (the descriptor's install helping would dereference other
-  // components' heads unprotected), so only ebr-reclaimed versioned
-  // batches are atomic; entries still never drop (each retries to CAS
-  // success).
   BatchAtomicity batch_atomicity() const override {
-    return (Value::kVersioned && !options_.use_hp) ? BatchAtomicity::kAtomic
-                                                   : BatchAtomicity::kAmortized;
+    return Value::kVersioned ? BatchAtomicity::kAtomic
+                             : BatchAtomicity::kAmortized;
   }
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<value::Blob>& out, ScanContext& ctx) override;
@@ -219,58 +182,36 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   const reclaim::Pool<Rec>& record_pool() const { return record_pool_; }
 
   // A deliberately stalled reader, for the RCL bench and the reclamation
-  // tests: simulates a scan that loaded its protection and then parked
-  // mid-operation.  On the EBR plane it enters the meta shard plus the
-  // shards of `indices` and holds the pins (freezing exactly those shards'
-  // reclamation); on the hp plane it protects the current heads of up to
-  // kHazardsPerThread of the given components (blocking exactly those
-  // records).  Construct and destroy on the same thread; no real operation
-  // may run on that thread while parked (it would reuse the hazard slots /
-  // stack another pin depth).
+  // tests: simulates a scan that pinned its shards and then parked
+  // mid-operation.  It enters the meta shard plus the shards of `indices`
+  // and holds the pins, freezing exactly those shards' reclamation.
+  // Construct and destroy on the same thread; no real operation may run on
+  // that thread while parked (it would stack another pin depth).
   class ParkedReader {
    public:
     ParkedReader(CasPartialSnapshotT& snap,
                  std::span<const std::uint32_t> indices)
-        : snap_(snap) {
-      if (snap_.hp_ != nullptr) {
-        count_ = static_cast<std::uint32_t>(
-            std::min<std::size_t>(indices.size(),
-                                  reclaim::HazardDomain::kHazardsPerThread));
-        for (std::uint32_t k = 0; k < count_; ++k) {
-          snap_.protect_component(indices[k], k);
-        }
-      } else {
-        slots_[0] = snap_.ebr_.meta().enter();
-        engaged_[0] = true;
-        for (std::uint32_t i : indices) {
-          std::uint32_t s = snap_.ebr_.shard_of(i);
-          if (!engaged_[s]) {
-            slots_[s] = snap_.ebr_.domain(s).enter();
-            engaged_[s] = true;
-          }
-        }
-      }
-    }
-    ~ParkedReader() {
-      if (snap_.hp_ != nullptr) {
-        for (std::uint32_t k = 0; k < count_; ++k) snap_.hp_->clear(k);
-      } else {
-        for (std::uint32_t s = 0; s < reclaim::ShardedEbr::kMaxShards; ++s) {
-          if (engaged_[s]) snap_.ebr_.domain(s).exit(slots_[s]);
-        }
-      }
+        : guard_(snap.ebr_) {
+      guard_.pin_meta();
+      guard_.pin_components(indices);
     }
     ParkedReader(const ParkedReader&) = delete;
     ParkedReader& operator=(const ParkedReader&) = delete;
 
    private:
-    CasPartialSnapshotT& snap_;
-    std::uint32_t count_ = 0;
-    std::uint32_t slots_[reclaim::ShardedEbr::kMaxShards] = {};
-    bool engaged_[reclaim::ShardedEbr::kMaxShards] = {};
+    reclaim::ShardedEbr::MultiGuard guard_;
   };
 
  private:
+  // CAS-mode condition-(2) bookkeeping: per location, the distinct records
+  // seen there in first-seen order.  Arena storage zero-fills this, which
+  // is exactly its empty state.  The write-ablation mode's per-pid table is
+  // core::MovedTwiceTable.
+  struct PerLocation {
+    const Rec* recs[3];
+    std::uint32_t count;
+  };
+
   // The versioned plane's batch descriptor (primitives::BatchControl):
   // entry table + shared stamp, pooled like the records it publishes.
   // resolve() routes helpers (readers/updaters that hit an unresolved
@@ -297,11 +238,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // The one update body; `fill` writes the new payload into the record.
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  // The versioned plane's singleton update; returns whether the CAS
-  // published (false = linearized immediately before the winner).  Batch
-  // code retries it until true -- versioned batches must not drop writes.
+  // The versioned plane's singleton update (try-once CAS).
   template <class Fill>
-  bool do_update_versioned(std::uint32_t i, Fill&& fill);
+  void do_update_versioned(std::uint32_t i, Fill&& fill);
   // The one scan body; `extract` pulls the caller's components out of the
   // final view.
   template <class Extract>
@@ -312,63 +251,13 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   std::uint64_t do_scan_versioned(std::span<const std::uint32_t> indices,
                                   std::vector<std::uint64_t>& out);
 
-  // ---- reclamation-plane dispatch (the ONE place ebr-vs-hp routing
-  // lives; every operation body calls through these) ----
-
-  // The calling thread's hazard-slot convention (hp plane).  One slot per
-  // concurrently-live protection a single operation needs: the old record
-  // held through an update's CAS, the announcement being copied, the
-  // record a collect is reading, and a chain predecessor / post-CAS
-  // self-stamp target.
-  static constexpr std::uint32_t kHazOld = 0;
-  static constexpr std::uint32_t kHazAnnounce = 1;
-  static constexpr std::uint32_t kHazRecord = 2;
-  static constexpr std::uint32_t kHazPrev = 3;
-
-  // Clears every hazard of the calling thread on operation exit --
-  // including exception unwinds (the crash sweep injects halts mid-op), so
-  // a halted operation's residual protection is bounded by the slots it
-  // had published, and a later operation on the reused pid starts clean.
-  struct HpClear {
-    reclaim::HazardDomain* hp;
-    ~HpClear() {
-      if (hp != nullptr) hp->clear_all();
-    }
-  };
-
-  // Reads component i's current record, protected for dereference: under
-  // EBR the caller's shard pin suffices and this is one plain load; under
-  // hp the load's value is published in hazard slot `hz` and validated
-  // with a non-step peek_sync re-read (retrying -- with the newer head --
-  // until stable, which under the sim scheduler succeeds first try since
-  // no schedule point separates publication from validation).  Exactly ONE
-  // counted step on either plane.
-  const Rec* protect_component(std::uint32_t i, std::uint32_t hz);
-
+  // Records pool and retire per component shard.
   typename reclaim::Pool<Rec>::Handle acquire_record(std::uint32_t i) {
-    return hp_ ? record_pool_.acquire(*hp_)
-               : record_pool_.acquire(ebr_.domain_of(i), ebr_.shard_of(i));
+    return record_pool_.acquire(ebr_.domain_of(i), ebr_.shard_of(i));
   }
   void recycle_record(std::uint32_t i, const Rec* node) {
-    if (hp_) {
-      record_pool_.recycle_hp(*hp_, const_cast<Rec*>(node));
-    } else {
-      record_pool_.recycle(ebr_.domain_of(i), const_cast<Rec*>(node),
-                           ebr_.shard_of(i));
-    }
-  }
-  // Announcements and batch descriptors are not per-component state; they
-  // retire through the meta shard (or hp).
-  typename reclaim::Pool<IndexSet>::Handle acquire_announce() {
-    return hp_ ? announce_pool_.acquire(*hp_)
-               : announce_pool_.acquire(ebr_.meta());
-  }
-  void recycle_announce(const IndexSet* set) {
-    if (hp_) {
-      announce_pool_.recycle_hp(*hp_, const_cast<IndexSet*>(set));
-    } else {
-      announce_pool_.recycle(ebr_.meta(), const_cast<IndexSet*>(set));
-    }
+    record_pool_.recycle(ebr_.domain_of(i), const_cast<Rec*>(node),
+                         ebr_.shard_of(i));
   }
 
   // Published component count (monotone; see core/growth.h).
@@ -395,15 +284,11 @@ class CasPartialSnapshotT final : public PartialSnapshot {
       CachelinePadded<primitives::Register<const IndexSet*, Policy>>>
       s_;
   std::unique_ptr<activeset::FaiCasActiveSetT<Policy>> as_;
-  // The EBR plane: one domain per component-segment shard (one total by
-  // default).  Constructed with 1 shard in hp mode, where it sees no
-  // traffic but keeps the observability and ParkedReader paths uniform.
+  // One EBR domain per component-segment shard (one total by default).
   reclaim::ShardedEbr ebr_;
-  // The hp plane; null unless options.use_hp.  Declared AFTER ebr_ (and
-  // after the pools) so its destructor -- which flushes retired nodes into
-  // the pools -- runs first.
-  std::unique_ptr<reclaim::HazardDomain> hp_;
   PerPidStorage<CachelinePadded<std::uint64_t>> counter_;
+  // Widens the write-ablation mode's collect bound (core/moved_twice.h).
+  WidestBatch widest_batch_;
   // The owner's in-flight batch descriptor, per pid (versioned plane): set
   // before the first install, cleared after the descriptor retires.  Its
   // only readers are the destructor's crash sweep (an injected halt

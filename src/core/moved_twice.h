@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -96,6 +97,38 @@ class MovedTwiceTable {
   ScanArena& arena_;
   std::uint32_t capacity_;
   std::span<Slot> seen_;
+};
+
+// Collect bound of an embedded scan under the moved-twice rule, for n
+// processes whose batches write at most k_max distinct components each.
+// Without a borrow every pid has at most one operation among the changes
+// a scan notes, and that operation changes at most k_max locations, so at
+// most n*k_max consecutive collect pairs differ: n*k_max + 2 collects.
+// The asserted n*(k_max+1) + 3 keeps the historical 2n+3 at k_max = 1.
+// README ("Batched updates") gives the argument and the schedule that
+// exceeds 2n+3 once batches are wider.
+inline std::uint64_t moved_twice_collect_bound(std::uint32_t n,
+                                               std::uint32_t k_max) {
+  return std::uint64_t{n} * (std::uint64_t{k_max} + 1) + 3;
+}
+
+// The widest batch (distinct components) published on one object so far;
+// 1 until a wider one publishes.  A batch notes its width before its first
+// publication, so a scan that read any of its records reads at least that
+// width afterwards (the publication orders the note before the read).
+// Bookkeeping, not a shared-object step.
+class WidestBatch {
+ public:
+  void note(std::uint32_t width) {
+    std::uint32_t cur = widest_.load(std::memory_order_relaxed);
+    while (width > cur && !widest_.compare_exchange_weak(
+                              cur, width, std::memory_order_relaxed)) {
+    }
+  }
+  std::uint32_t get() const { return widest_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint32_t> widest_{1};
 };
 
 }  // namespace psnap::core

@@ -147,17 +147,13 @@ class PartialSnapshot {
   // unchanged.
   virtual std::string_view value_plane() const { return "u64"; }
 
-  // ---- The reclamation plane (reclaim/) ----
+  // ---- Reclamation (reclaim/) ----
   //
-  // How published records are reclaimed, chosen at construction (registry
-  // option reclaim=ebr|hp on the implementations that support both):
-  // "ebr" pins an epoch per operation (cheap, but a stalled reader delays
-  // every later retirement in its domain -- or its shard, with shards>1);
-  // "hp" protects individual records with hazard pointers (a stalled
-  // reader delays at most the handful of records it protects).  Purely an
-  // engineering axis: the protocol's step counts and linearizability are
-  // identical on either plane.
-  virtual std::string_view reclaim_plane() const { return "ebr"; }
+  // Published records are reclaimed through EBR: each operation pins an
+  // epoch, so a stalled reader delays every later retirement in its
+  // domain -- or only in its shard, with shards>1.  Purely an engineering
+  // axis: step counts and linearizability do not depend on it.
+  //
   // Number of independent reclamation domains (EBR sharding; 1 everywhere
   // except fig3_cas instances built with shards=k).
   virtual std::uint32_t reclaim_shards() const { return 1; }

@@ -25,7 +25,7 @@ RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
               : std::make_unique<activeset::RegisterActiveSetT<Policy>>(
                     max_processes, bound)) {
   PSNAP_ASSERT(initial_components > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
   PSNAP_ASSERT(as_->max_processes() >= n_);
   for (std::uint32_t i = 0; i < initial_components; ++i) {

@@ -47,9 +47,6 @@ class BatchRouted final : public core::PartialSnapshot {
   std::string_view value_plane() const override {
     return inner_->value_plane();
   }
-  std::string_view reclaim_plane() const override {
-    return inner_->reclaim_plane();
-  }
   std::uint32_t reclaim_shards() const override {
     return inner_->reclaim_shards();
   }

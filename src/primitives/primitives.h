@@ -182,15 +182,6 @@ class Register {
   // run quiescent, after the owning threads were joined).
   T peek() const { return value_.load(std::memory_order_relaxed); }
 
-  // Non-step VALIDATION read: seq_cst, no step, no schedule point.  The
-  // hazard-pointer plane publishes a hazard and must then re-read the
-  // source to confirm the pointer did not move before the publication
-  // became visible (Michael's protect protocol).  The re-read is not one
-  // of the paper's steps -- the operation's counted step is the initial
-  // load being validated -- but it needs seq_cst so it is ordered after
-  // the hazard store it validates.
-  T peek_sync() const { return value_.load(std::memory_order_seq_cst); }
-
  private:
   std::atomic<T> value_;
   std::uint64_t label_ = exec::kNoLabel;
@@ -244,10 +235,6 @@ class CasObject {
   // that publication; it is still fence-free on x86 and a plain ldar on
   // AArch64, never a full seq_cst barrier.
   T peek() const { return value_.load(std::memory_order_acquire); }
-
-  // Non-step validation read for the hazard-pointer protect protocol; see
-  // Register::peek_sync.
-  T peek_sync() const { return value_.load(std::memory_order_seq_cst); }
 
  private:
   std::atomic<T> value_;

@@ -23,9 +23,27 @@
 #include <vector>
 
 #include "common/padding.h"
-#include "reclaim/slots.h"
+#include "exec/capacity.h"
 
 namespace psnap::reclaim {
+
+// Per-thread slot layout, shared by every EbrDomain and by the free-list
+// pools on top of them (reclaim::Pool):
+//
+//   * slots [0, kPidSlots): the caller's registered pid (the slot IS the
+//     pid).  Derived from exec::kMaxPidCapacity -- the one constant the
+//     thread registry sizes its bitmap from -- so any pid the registry
+//     can hand out has a slot in every domain by construction.
+//   * slots [kPidSlots, kTotalSlots): sticky CAS-claimed slots for
+//     threads without a pid (direct reclaim tests, bookkeeping threads).
+//
+// Keying by pid (rather than per-domain claims) is what lets one Pool
+// serve several domains: a registered thread resolves to the SAME slot in
+// every domain, so nodes retired through any shard's domain surface on the
+// retiring thread's one free list.
+inline constexpr std::uint32_t kPidSlots = exec::kMaxPidCapacity;
+inline constexpr std::uint32_t kAnonSlots = 32;
+inline constexpr std::uint32_t kTotalSlots = kPidSlots + kAnonSlots;
 
 class EbrDomain {
  public:
@@ -35,14 +53,7 @@ class EbrDomain {
   // as long as at most kPidSlots pids are live at once.  The release/
   // acquire CAS pair in the registry orders the hand-off, so a pid's
   // retired list simply transfers to the slot's next holder.  Threads
-  // without a pid (direct reclaim tests, bookkeeping threads) fall back to
-  // sticky CAS-claimed slots in [kPidSlots, kTotalSlots).  The layout is
-  // the shared one in reclaim/slots.h, derived from the thread registry's
-  // capacity constant; the aliases below are kept for existing callers.
-  static constexpr std::uint32_t kPidSlots = reclaim::kPidSlots;
-  static constexpr std::uint32_t kAnonSlots = reclaim::kAnonSlots;
-  static constexpr std::uint32_t kTotalSlots = reclaim::kTotalSlots;
-
+  // without a pid fall back to the anonymous slots (layout above).
   EbrDomain();
   // Precondition: no thread is pinned and no operation is in flight.
   // Frees every outstanding retired node.

@@ -1,4 +1,4 @@
-// Typed free-list pooling on top of the reclamation substrates.
+// Typed free-list pooling on top of EBR.
 //
 // The snapshot algorithms publish one immutable heap record per update and
 // one announcement per scan-shape change.  With plain reclamation those
@@ -18,25 +18,23 @@
 //     `new T()` only while the pool is still warming up.
 //
 // Free lists are per (shard, thread-slot).  Thread slots use the shared
-// reclaim/slots.h layout -- a registered thread resolves to the SAME slot
-// index in every EbrDomain and HazardDomain -- so one Pool serves all of a
-// ShardedEbr's domains (and the hp plane): nodes retired through shard s
-// surface on the retiring thread's list for shard s, and acquire(d, s)
-// pops that same list.  Every list stays owner-thread-only: no atomics, no
-// cross-thread free list, and therefore no Treiber-stack ABA problem to
-// solve.  The flux is balanced in steady state because each update
-// acquires exactly one record and retires exactly one (the one it
-// replaced).
+// layout in reclaim/ebr.h -- a registered thread resolves to the SAME slot
+// index in every EbrDomain -- so one Pool serves all of a ShardedEbr's
+// domains: nodes retired through shard s surface on the retiring thread's
+// list for shard s, and acquire(d, s) pops that same list.  Every list
+// stays owner-thread-only: no atomics, no cross-thread free list, and
+// therefore no Treiber-stack ABA problem to solve.  The flux is balanced
+// in steady state because each update acquires exactly one record and
+// retires exactly one (the one it replaced).
 //
 // ABA / tag-uniqueness: recycling reuses ADDRESSES no earlier than delete
-// would have handed them back to malloc -- only after the grace period (or
-// hazard scan) -- so the algorithms' pointer-identity arguments (records
-// observed while protected are never reused under the reader's feet) are
-// unchanged.  The paper's (pid, counter) content-uniqueness argument is
-// also unchanged: counters increase monotonically per process, so a
-// recycled Record is always republished with a tag no prior record
-// carried.  tests/reclaim/pool_test.cpp drives this under the sim
-// scheduler.
+// would have handed them back to malloc -- only after the grace period --
+// so the algorithms' pointer-identity arguments (records observed while
+// pinned are never reused under the reader's feet) are unchanged.  The
+// paper's (pid, counter) content-uniqueness argument is also unchanged:
+// counters increase monotonically per process, so a recycled Record is
+// always republished with a tag no prior record carried.
+// tests/reclaim/pool_test.cpp drives this under the sim scheduler.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +43,6 @@
 #include "common/assert.h"
 #include "common/padding.h"
 #include "reclaim/ebr.h"
-#include "reclaim/hazard.h"
 
 namespace psnap::reclaim {
 
@@ -82,7 +79,7 @@ class Pool {
   // other thread ever saw the pointer.  The flat list index is resolved
   // once at acquisition and cached, so the acquire/unwind round trip costs
   // one slot lookup, not three.  Single-operation scope on one thread;
-  // movable (so a plane-dispatch helper can return one) but not copyable.
+  // movable (so a helper can return one) but not copyable.
   class Handle {
    public:
     ~Handle() {
@@ -117,10 +114,8 @@ class Pool {
 
   // Pops a recycled node, or heap-allocates while warming up.  The node is
   // whatever state its previous life left it in; callers overwrite every
-  // field before publication.  Domain is EbrDomain or HazardDomain (both
-  // expose the shared thread_slot()).
-  template <class Domain>
-  Handle acquire(Domain& domain, std::uint32_t shard = 0) {
+  // field before publication.
+  Handle acquire(EbrDomain& domain, std::uint32_t shard = 0) {
     std::size_t index = flat_index(shard, domain.thread_slot());
     PerThread& mine = lists_[index].value;
     T* node;
@@ -137,8 +132,7 @@ class Pool {
 
   // Returns a node that was never published: it skips the grace period
   // and is immediately reusable (see Handle; exposed for tests).
-  template <class Domain>
-  void put_local(Domain& domain, T* node, std::uint32_t shard = 0) {
+  void put_local(EbrDomain& domain, T* node, std::uint32_t shard = 0) {
     put_at(flat_index(shard, domain.thread_slot()), node);
   }
 
@@ -157,16 +151,6 @@ class Pool {
           auto* sc = static_cast<ShardCtx*>(ctx);
           sc->pool->put_at(sc->base + slot, static_cast<T*>(p));
         });
-  }
-
-  // Retires a *published* node through a hazard domain: it joins the free
-  // list once a hazard scan proves no published hazard covers it.
-  void recycle_hp(HazardDomain& domain, T* node, std::uint32_t shard = 0) {
-    domain.retire_raw(node, &shard_ctx_[shard],
-                      [](void* p, void* ctx, std::uint32_t slot) {
-                        auto* sc = static_cast<ShardCtx*>(ctx);
-                        sc->pool->put_at(sc->base + slot, static_cast<T*>(p));
-                      });
   }
 
   // --- observability (tests; aggregate reads are quiescent-only) ---

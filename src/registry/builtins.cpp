@@ -4,12 +4,12 @@
 // every registry-driven test, bench, and example picks it up automatically.
 //
 // One row per algorithm: value planes (value=u64|blob|versioned,
-// primitives/value_plane.h) and reclamation planes (reclaim=ebr|hp) are
-// options, validated centrally in SnapshotRegistry::make against the
-// entry's `values` / `reclaims` lists.  The registry-driven suites, the
-// fuzzer and the benches cross those lists through snapshot_specs(), so
-// declaring a plane here is what puts it under every DFS/random
-// linearizability, validity, crash, growth, churn, and allocation suite.
+// primitives/value_plane.h) are an option, validated centrally in
+// SnapshotRegistry::make against the entry's `values` list.  The
+// registry-driven suites, the fuzzer and the benches cross that list
+// through snapshot_specs(), so declaring a plane here is what puts it
+// under every DFS/random linearizability, validity, crash, growth, churn,
+// and allocation suite.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -59,14 +59,11 @@ std::string value_plane(const Options& options) {
   return options.get_string("value", "u64");
 }
 
-// The fig3 reclamation knobs (core/cas_psnap.h): reclaim=ebr|hp selects
-// the plane (the registry has already validated it against the entry's
-// `reclaims` list) and shards=<k> the EBR domain count.  The plane/shard
-// combination rules the constructor would assert are checked here so a
-// bad spec throws instead.
+// The fig3 reclamation knob (core/cas_psnap.h): shards=<k> is the EBR
+// domain count.  The rules the constructor would assert are checked here
+// so a bad spec throws instead.
 void apply_reclaim_options(core::CasSnapshotOptions& impl,
                            const Options& options, bool versioned) {
-  impl.use_hp = options.get_string("reclaim", "ebr") == "hp";
   std::uint64_t shards = options.get_uint("shards", 1);
   if (shards == 0 || shards > reclaim::ShardedEbr::kMaxShards) {
     throw std::invalid_argument(
@@ -75,21 +72,11 @@ void apply_reclaim_options(core::CasSnapshotOptions& impl,
         std::to_string(shards));
   }
   impl.reclaim_shards = static_cast<std::uint32_t>(shards);
-  if (impl.use_hp && !impl.use_cas) {
-    throw std::invalid_argument(
-        "reclaim=hp requires the CAS publication path (cas=true)");
-  }
-  if (impl.use_hp && impl.reclaim_shards > 1) {
-    throw std::invalid_argument(
-        "shards>1 is an EBR-plane knob; hazard pointers already confine "
-        "a stalled reader to the records it protects (drop shards= or "
-        "use reclaim=ebr)");
-  }
   if (versioned && impl.reclaim_shards > 1) {
     throw std::invalid_argument(
         "shards>1 is not supported on the versioned plane (batch "
-        "descriptors and version stamps share one domain; use reclaim=hp "
-        "for tail-latency isolation instead)");
+        "descriptors and version stamps share one domain; drop shards= or "
+        "use a collect plane, value=u64|blob)");
   }
 }
 
@@ -225,11 +212,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "(Theorem 3, the paper's headline algorithm)",
       .options_help =
           "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
-          "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "initial=<u64>,adaptive=<bool>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
-      .reclaims = "ebr,hp",
       .supports_batch = true,
       .make = make_fig3,
   });
@@ -240,11 +226,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "(counts_steps=false; wall-clock benches only)",
       .options_help =
           "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "adaptive=<bool>,shards=<u32>",
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob,versioned",
-      .reclaims = "ebr,hp",
       .supports_batch = true,
       .make =
           [](std::uint32_t m, std::uint32_t n,
@@ -390,11 +375,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "the descriptor install engine CAS-retries)",
       .options_help =
           "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
-          "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "initial=<u64>,adaptive=<bool>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
-      .reclaims = "ebr,hp",
       .supports_batch = true,
       .make =
           [](std::uint32_t m, std::uint32_t n, const Options& options) {

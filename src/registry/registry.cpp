@@ -68,8 +68,8 @@ std::uint32_t get_u32_option(const Options& options, std::string_view key,
   return static_cast<std::uint32_t>(value);
 }
 
-// Splits a comma-separated plane list (SnapshotInfo::values / reclaims):
-// the one place those lists are taken apart.
+// Splits a comma-separated plane list (SnapshotInfo::values): the one
+// place those lists are taken apart.
 std::vector<std::string_view> split_planes(std::string_view list) {
   std::vector<std::string_view> planes;
   std::size_t pos = 0;
@@ -281,18 +281,6 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
         "' does not support value=" + plane + " (supported: " +
         info->values + ")\nknown implementations:\n" + snapshot_catalogue());
   }
-  // The reclamation plane gets the same central treatment (the catalogue
-  // lists each entry's planes as {reclaim=...}).  The option is peeked,
-  // not consumed on the entry's behalf: hp-capable factories re-read it.
-  std::string reclaim = options.get_string(
-      "reclaim", default_reclaim_plane(info->reclaims));
-  if (!reclaim_plane_supported(info->reclaims, reclaim)) {
-    throw std::invalid_argument(
-        "snapshot implementation '" + info->name +
-        "' does not support reclaim=" + reclaim + " (supported: " +
-        info->reclaims + ")\nknown implementations:\n" +
-        snapshot_catalogue());
-  }
   // Universal ingest knobs, validated here so an unsupported combo fails
   // with the catalogue, but ACTED on by the caller: batching is a
   // property of how writes are fed to the object, so only entry points
@@ -428,24 +416,10 @@ std::string_view default_value_plane(std::string_view values) {
   return split_planes(values).front();
 }
 
-bool reclaim_plane_supported(std::string_view reclaims,
-                             std::string_view plane) {
-  return value_plane_supported(reclaims, plane);
-}
-
-std::string_view default_reclaim_plane(std::string_view reclaims) {
-  return default_value_plane(reclaims);
-}
-
 std::vector<std::string> snapshot_specs(const SnapshotInfo& info) {
   std::vector<std::string> specs;
-  const std::string_view def_reclaim = default_reclaim_plane(info.reclaims);
   for (std::string_view value : split_planes(info.values)) {
-    for (std::string_view reclaim : split_planes(info.reclaims)) {
-      std::string spec = info.name + ":value=" + std::string(value);
-      if (reclaim != def_reclaim) spec += ",reclaim=" + std::string(reclaim);
-      specs.push_back(std::move(spec));
-    }
+    specs.push_back(info.name + ":value=" + std::string(value));
   }
   return specs;
 }
@@ -482,13 +456,11 @@ std::string snapshot_catalogue() {
       out << " [" << info->options_help << "]";
     }
     out << " {value=" << info->values << "}";
-    out << " {reclaim=" << info->reclaims << "}";
     if (info->supports_batch) out << " (batch)";
     out << "\n";
   }
   out << "  (every spec also accepts m0=<u32>, max_threads=<u32>, "
-         "value=<plane> from the listed {value=...} set, and "
-         "reclaim=<plane> from the listed {reclaim=...} set; entries "
+         "and value=<plane> from the listed {value=...} set; entries "
          "marked (batch) additionally accept batch=<k>, "
          "coalesce_window=<w>, and coalesce_window_us=<t> at batch-aware "
          "entry points, which also honor affinity=none|segment for "

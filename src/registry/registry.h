@@ -10,7 +10,7 @@
 //     (counts_steps / sim_safe / supports_batch) so consumers can filter
 //     ("only sim-safe impls under the deterministic scheduler") instead of
 //     hand-curating lists, and snapshot_specs() expands an entry into one
-//     spec per declared value x reclaim plane.  Progress and locality
+//     spec per declared value plane.  Progress and locality
 //     depend on the options (versioned planes CAS-retry), so they are
 //     asked of the built instance (PartialSnapshot::is_wait_free /
 //     is_local), never of the entry;
@@ -122,12 +122,6 @@ struct SnapshotInfo {
   // calling the factory, so an unsupported combo fails with the full
   // catalogue rather than inside the factory.
   std::string values = "u64";
-  // Comma-separated reclamation planes this entry accepts for the
-  // universal reclaim=<plane> option (reclaim/; "ebr" and/or "hp"); the
-  // FIRST is the default.  Validated centrally like `values`, so
-  // reclaim=hp on an entry without a hazard-pointer path fails with the
-  // catalogue.
-  std::string reclaims = "ebr";
   // Implements update_batch()/update_batch_blob() (false for the fig1
   // register constructions, whose base-class defaults throw).  Gates the
   // universal batch=/coalesce_window= ingest knobs: a spec asking for
@@ -266,10 +260,8 @@ std::unique_ptr<core::PartialSnapshot> make_snapshot(
 std::unique_ptr<activeset::ActiveSet> make_active_set(
     std::string_view spec, std::uint32_t max_threads);
 
-// Every combination of the entry's declared axes, as specs: one
-// "name:value=<plane>" per listed value plane, crossed with its reclaim
-// planes, where ",reclaim=<plane>" is appended only for a non-default
-// plane.  Value-major, in list order.  The one source of the combos that
+// Every value plane the entry declares, as specs: one "name:value=<plane>"
+// per listed plane, in list order.  The one source of the combos that
 // registry-driven suites, the fuzzer and benches run.
 std::vector<std::string> snapshot_specs(const SnapshotInfo& info);
 
@@ -277,11 +269,6 @@ std::vector<std::string> snapshot_specs(const SnapshotInfo& info);
 // plane list whose first entry is the default).
 bool value_plane_supported(std::string_view values, std::string_view plane);
 std::string_view default_value_plane(std::string_view values);
-
-// Same contract for SnapshotInfo::reclaims (reclaim=ebr|hp).
-bool reclaim_plane_supported(std::string_view reclaims,
-                             std::string_view plane);
-std::string_view default_reclaim_plane(std::string_view reclaims);
 
 // Closest registered name by edit distance (for "did you mean"
 // diagnostics); empty when nothing is plausibly close.

@@ -1,7 +1,7 @@
 // Fuzz targets enumerated from the implementation registries.
 //
-// A target is one (implementation × value plane × reclaim plane ×
-// ingest-knob) combination the fuzzer must cover.  The list is DERIVED
+// A target is one (implementation × value plane × ingest-knob)
+// combination the fuzzer must cover.  The list is DERIVED
 // from the registries -- no hand-curated impl tables anywhere in the fuzz
 // layer -- so a newly registered sim-safe implementation (or a new plane
 // on an existing one) is fuzzed automatically;
@@ -36,7 +36,7 @@ struct FuzzTarget {
   }
 };
 
-// Every sim-safe snapshot entry × each declared value × reclaim plane
+// Every sim-safe snapshot entry × each declared value plane
 // (registry::snapshot_specs), plus a coalescing ingest variant
 // (batch=3,coalesce_window=6) for each batch-capable combo.
 std::vector<FuzzTarget> enumerate_snapshot_targets();

@@ -91,9 +91,9 @@ TEST(CliFlags, PositionalArgumentRejected) {
 // multi-option spec is not cut at its own commas.
 TEST(ImplSpecList, KeyValueTokensContinueThePreviousSpec) {
   EXPECT_EQ(bench::split_impl_specs(
-                "fig3_cas_fast:value=versioned,reclaim=hp,lock,,seqlock"),
+                "fig3_cas_fast:value=blob,shards=4,lock,,seqlock"),
             (std::vector<std::string>{
-                "fig3_cas_fast:value=versioned,reclaim=hp", "lock",
+                "fig3_cas_fast:value=blob,shards=4", "lock",
                 "seqlock"}));
 }
 

@@ -1,18 +1,16 @@
-// Tail-latency isolation of the reclamation planes (ISSUE 10).
+// Tail-latency isolation of the sharded EBR plane.
 //
-// The knob this PR adds -- reclaim=ebr|hp plus EBR sharding by component
-// segment -- exists for one scenario: a reader that loads its protection
-// and then stalls (preempted, paging, debugger).  These tests park such a
-// reader deliberately (core::CasPartialSnapshotT::ParkedReader) and
-// measure retired-but-not-freed residency:
+// EBR sharding by component segment (shards=<k>) exists for one scenario:
+// a reader that loads its protection and then stalls (preempted, paging,
+// debugger).  These tests park such a reader deliberately
+// (core::CasPartialSnapshotT::ParkedReader) and measure retired-but-not-
+// freed residency:
 //
 //   * global (1-shard) EBR: the parked pin freezes EVERY retirement in
 //     the domain -- residency grows without bound while the reader sleeps;
 //   * sharded EBR: only the parked reader's shard freezes; traffic in
-//     other segments reclaims at full speed;
-//   * hazard pointers: only the HANDFUL of records the reader protects
-//     stay pinned; residency is bounded by the hazard-scan threshold no
-//     matter how long the reader sleeps or where the traffic goes.
+//     other segments reclaims at full speed.  Traffic in the parked
+//     reader's own segment still grows without bound.
 //
 // bench_reclaim_plane turns the same contrast into numbers; these tests
 // pin the qualitative property in CI.
@@ -92,26 +90,6 @@ TEST(ReclaimPlaneTest, ShardedEbrParkedScannerFreezesOnlyItsShard) {
     }
     EXPECT_GT(snap.reclaim_outstanding(), before + 2500)
         << "the parked shard should freeze behind the pin";
-  }
-  unpark(parked);
-}
-
-TEST(ReclaimPlaneTest, HpParkedScannerBlocksOnlyTheRecordsItProtects) {
-  // The hp plane's whole point: the parked reader pins exactly the two
-  // records its hazards cover; every other retirement frees on the next
-  // hazard scan, so residency stays bounded by the scan threshold no
-  // matter how long the reader sleeps.
-  CasSnapshotOptions options;
-  options.use_hp = true;
-  CasPartialSnapshot snap(kM, kN, options, 0);
-  auto parked = park(snap, {0, 1});
-  {
-    exec::ScopedPid updater(0);
-    for (int k = 0; k < 5000; ++k) {
-      snap.update(static_cast<std::uint32_t>(k % kM), k);
-    }
-    EXPECT_LT(snap.reclaim_outstanding(), 600u)
-        << "hp residency must stay bounded under a parked scanner";
   }
   unpark(parked);
 }

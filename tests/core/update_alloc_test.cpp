@@ -132,17 +132,6 @@ TEST(UpdateAllocHelpingTest,
   run_helping_update_test(snap);
 }
 
-// The hazard-pointer plane's helping path: hazard publications, the
-// validated announcement loop, and protected collects must all reach the
-// same allocation-free steady state (retired lists and the per-slot scan
-// scratch warm up like EBR's).
-TEST(UpdateAllocHelpingTest, CasSnapshotHpHelpingUpdatesAreAllocationFree) {
-  CasSnapshotOptions options;
-  options.use_hp = true;
-  CasPartialSnapshot snap(kM, kN, options, 0);
-  run_helping_update_test(snap);
-}
-
 TEST(UpdateAllocHelpingTest,
      CasSnapshotShardedHelpingUpdatesAreAllocationFree) {
   CasSnapshotOptions options;
@@ -172,7 +161,7 @@ TEST(UpdateAllocTestExtras, GrowthKeepsSteadyStateUpdatesAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
        {"fig3_cas", "fig1_register", "fig3_cas_fast", "fig1_register_fast",
-        "full_snapshot", "fig3_cas:reclaim=hp", "fig3_cas:shards=4"}) {
+        "full_snapshot", "fig3_cas:shards=4"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::uint32_t first = snap->add_components(16);
@@ -204,7 +193,7 @@ TEST(UpdateAllocTestExtras, AlternatingScanShapesAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
        {"fig3_cas", "fig1_register", "fig3_cas_fast", "fig1_register_fast",
-        "fig3_cas:reclaim=hp", "fig3_cas:shards=4"}) {
+        "fig3_cas:shards=4"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     const std::vector<std::uint32_t> a{3, 9, 17, 40};
     const std::vector<std::uint32_t> b{5, 21};

@@ -47,9 +47,6 @@ const char* const kVersionedSpecs[] = {
     "fig3_cas_fast:value=versioned",
     "full_snapshot:value=versioned",
     "seqlock:value=versioned",
-    // The hazard-pointer reclamation plane: same chain lifecycle, pools
-    // fed by hazard scans instead of grace periods.
-    "fig3_cas:value=versioned,reclaim=hp",
 };
 
 // Drives updates and scans far past every warm-up watermark: pool fill,
@@ -174,23 +171,6 @@ TEST(VersionChainTest, TrimmedNodesRecycleThroughThePool) {
   }
   EXPECT_GE(snap.record_pool().reused_count(), reused_before + 256)
       << "version nodes are not recycling through the pool";
-}
-
-// Same proof on the hazard-pointer plane: the trim retires through the
-// hazard domain, whose scans feed the SAME pool banks (the shared slot
-// layout in reclaim/slots.h).
-TEST(VersionChainTest, TrimmedNodesRecycleThroughThePoolUnderHp) {
-  exec::ScopedPid pid(0);
-  CasSnapshotOptions options;
-  options.use_hp = true;
-  CasPartialSnapshotVersioned snap(kM, kN, options, 0);
-  warm_up(snap);
-  std::uint64_t reused_before = snap.record_pool().reused_count();
-  for (int k = 0; k < 512; ++k) {
-    snap.update(static_cast<std::uint32_t>(k % kM), 9000 + k);
-  }
-  EXPECT_GE(snap.record_pool().reused_count(), reused_before + 256)
-      << "version nodes are not recycling through the hp-fed pool";
 }
 
 }  // namespace

@@ -16,9 +16,11 @@
 // must complete (helpers finish or ignore the orphaned batch), the
 // atomicity tier must still hold, and destruction must free the orphaned
 // descriptor and its never-installed records (the ASan job proves the
-// sweep leak-free).
+// sweep leak-free).  A scripted schedule pins the moved-twice collect
+// bound for batches (see SpreadBatchCollectBound below).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -253,6 +255,109 @@ TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
 INSTANTIATE_TEST_SUITE_P(SimSafeImpls, BatchCrashTest,
                          ::testing::ValuesIn(sim_batch_impls()),
                          test::spec_param_name);
+
+// ---------------------------------------------------------------------------
+// The moved-twice collect bound under a batch spread across collects.
+// ---------------------------------------------------------------------------
+
+// A writer's k-entry update_batch publishes its k records one at a time,
+// and the schedule lets a concurrent scan complete one full collect between
+// consecutive publications.  The k records share the batch's one counter,
+// so the moved-twice table (full_snapshot, the fig3 write ablation) counts
+// all k changes as ONE move and never borrows: the scan runs k+2 collects.
+// At k=8, n=2 that is 10, past the 2n+3 = 7 those embedded scans used to
+// assert -- the CMPi abort of bench_compare_impls, made deterministic.
+// fig3_cas runs the same schedule inside its per-location bound 2r+3.
+constexpr std::uint32_t kSpreadWidth = 8;
+constexpr std::uint32_t kSpreadThreads = 2;
+
+std::vector<core::BatchEntry> spread_batch() {
+  std::vector<core::BatchEntry> batch;
+  for (std::uint32_t i = 0; i < kSpreadWidth; ++i) {
+    batch.push_back({i, 100 + i});
+  }
+  return batch;
+}
+
+std::vector<std::uint32_t> spread_indices() {
+  std::vector<std::uint32_t> idx(kSpreadWidth);
+  for (std::uint32_t i = 0; i < kSpreadWidth; ++i) idx[i] = i;
+  return idx;
+}
+
+// The schedule as a script of runnable ranks (0 = writer, 1 = scanner
+// while both run).  Step counts come from solo runs on fresh objects:
+// neither prefix writes shared state, so each is the same inside the race.
+std::vector<std::uint32_t> spread_script(const std::string& spec) {
+  std::uint64_t writer_prefix = 0;
+  {
+    auto snap = registry::make_snapshot(spec, kSpreadWidth, kSpreadThreads);
+    exec::ScopedPid pid(0);
+    const std::uint64_t before = exec::ctx().steps.total;
+    snap->update_batch(spread_batch());
+    // The k publications are the batch's last k steps.
+    writer_prefix = exec::ctx().steps.total - before - kSpreadWidth;
+  }
+  std::uint64_t scanner_prefix = 0;
+  {
+    auto snap = registry::make_snapshot(spec, kSpreadWidth, kSpreadThreads);
+    exec::ScopedPid pid(1);
+    exec::RecordingLogger log;
+    exec::ScopedLogger scoped(&log);
+    std::vector<std::uint64_t> out;
+    snap->scan(spread_indices(), out);
+    // Announce/join steps touch unlabelled objects; the first collect's
+    // first load is the first access to component 0.
+    const auto& acc = log.accesses();
+    scanner_prefix = static_cast<std::uint64_t>(
+        std::find_if(acc.begin(), acc.end(),
+                     [](const auto& a) { return a.label == 0; }) -
+        acc.begin());
+  }
+  std::vector<std::uint32_t> script(writer_prefix, 0);
+  script.insert(script.end(), scanner_prefix + kSpreadWidth, 1);
+  for (std::uint32_t e = 0; e + 1 < kSpreadWidth; ++e) {
+    script.push_back(0);
+    script.insert(script.end(), kSpreadWidth, 1);
+  }
+  script.push_back(0);  // the last publication; the scanner then runs alone
+  return script;
+}
+
+class SpreadBatchCollectBound
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SpreadBatchCollectBound, OneBatchSpreadOverKCollectsStaysInBound) {
+  const std::string spec = GetParam();
+  auto snap = registry::make_snapshot(spec, kSpreadWidth, kSpreadThreads);
+  SimScheduler::Options options;
+  options.script = spread_script(spec);
+  SimScheduler sched(options);
+  core::OpStats scan_stats;
+  std::vector<std::uint64_t> out;
+  sched.add_process([&] { snap->update_batch(spread_batch()); });
+  sched.add_process([&] {
+    snap->scan(spread_indices(), out);
+    scan_stats = core::tls_op_stats();
+  });
+  sched.run();
+
+  EXPECT_EQ(scan_stats.collects, kSpreadWidth + 2) << spec;
+  EXPECT_GT(scan_stats.collects, 2u * kSpreadThreads + 3) << spec;
+  EXPECT_FALSE(scan_stats.borrowed) << spec;
+  std::vector<std::uint64_t> written;
+  for (const core::BatchEntry& e : spread_batch()) written.push_back(e.value);
+  EXPECT_EQ(out, written) << spec;
+}
+
+// adaptive=false: the per-pid walks then do not depend on the process-wide
+// pid watermark, which the solo measurement runs could otherwise move.
+INSTANTIATE_TEST_SUITE_P(
+    CollectPlanes, SpreadBatchCollectBound,
+    ::testing::Values("full_snapshot:adaptive=false",
+                      "fig3_write_ablation:adaptive=false",
+                      "fig3_cas:adaptive=false"),
+    test::spec_param_name);
 
 }  // namespace
 }  // namespace psnap::ingest

@@ -124,9 +124,10 @@ TEST(ShardedEbr, MultiGuardNestsWithPlainGuards) {
 }
 
 TEST(ShardedEbr, OnePoolServesAllShards) {
-  // The slots.h invariant in action: a thread resolves to the same slot in
-  // every shard's domain, so a single Pool with per-shard banks recycles
-  // nodes retired through any shard back to the retiring thread.
+  // The shared slot layout (reclaim/ebr.h) in action: a thread resolves
+  // to the same slot in every shard's domain, so a single Pool with
+  // per-shard banks recycles nodes retired through any shard back to the
+  // retiring thread.
   Node::live = 0;
   {
     ShardedEbr sharded(2, /*segment_components=*/1);

@@ -40,13 +40,11 @@ TEST(SnapshotRegistry, CataloguesOneRowPerAlgorithm) {
 }
 
 TEST(SnapshotRegistry, SpecsCrossTheDeclaredPlanes) {
-  // Value-major; ",reclaim=" only off the default plane.
+  // One spec per declared value plane, in list order.
   EXPECT_EQ(snapshot_specs(*SnapshotRegistry::instance().find("fig3_cas")),
-            (std::vector<std::string>{
-                "fig3_cas:value=u64", "fig3_cas:value=u64,reclaim=hp",
-                "fig3_cas:value=blob", "fig3_cas:value=blob,reclaim=hp",
-                "fig3_cas:value=versioned",
-                "fig3_cas:value=versioned,reclaim=hp"}));
+            (std::vector<std::string>{"fig3_cas:value=u64",
+                                      "fig3_cas:value=blob",
+                                      "fig3_cas:value=versioned"}));
   EXPECT_EQ(snapshot_specs(*SnapshotRegistry::instance().find(
                 "full_snapshot_versioned_batch")),
             (std::vector<std::string>{
@@ -413,90 +411,56 @@ TEST(SnapshotRegistry, DefaultPlaneIsTheFirstListed) {
 }
 
 // ---------------------------------------------------------------------------
-// Reclamation planes (reclaim= / shards=).
+// Reclamation: sharded EBR (shards=).
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotRegistry, ReclaimPlaneOptionSelectsThePlane) {
+TEST(SnapshotRegistry, ShardsOptionShardsTheEbrPlane) {
   exec::ScopedPid pid(0);
-  for (const char* spec :
-       {"fig3_cas:reclaim=hp", "fig3_cas_fast:reclaim=hp",
-        "fig3_cas:value=blob,reclaim=hp",
-        "fig3_cas:value=versioned,reclaim=hp",
-        "fig3_cas_batch:value=versioned,reclaim=hp"}) {
-    auto snap = make_snapshot(spec, 4, 2);
-    EXPECT_EQ(snap->reclaim_plane(), "hp") << spec;
-    EXPECT_EQ(snap->reclaim_shards(), 1u) << spec;
-    snap->update(1, 77);
-    EXPECT_EQ(snap->scan({1, 0}), (std::vector<std::uint64_t>{77, 0}))
+  // The default is one EBR domain; shards=k splits it by segment.
+  auto def = make_snapshot("fig3_cas", 4, 2);
+  EXPECT_EQ(def->reclaim_shards(), 1u);
+  for (const char* spec : {"fig3_cas:shards=4", "fig3_cas_fast:shards=4",
+                           "fig3_cas:value=blob,shards=4"}) {
+    auto sharded = make_snapshot(spec, 4, 2);
+    EXPECT_EQ(sharded->reclaim_shards(), 4u) << spec;
+    sharded->update(1, 5);
+    EXPECT_EQ(sharded->scan({1, 3}), (std::vector<std::uint64_t>{5, 0}))
         << spec;
   }
-  // The default plane is EBR, one shard; shards=k shards it.
-  auto def = make_snapshot("fig3_cas", 4, 2);
-  EXPECT_EQ(def->reclaim_plane(), "ebr");
-  EXPECT_EQ(def->reclaim_shards(), 1u);
-  auto sharded = make_snapshot("fig3_cas:shards=4", 4, 2);
-  EXPECT_EQ(sharded->reclaim_plane(), "ebr");
-  EXPECT_EQ(sharded->reclaim_shards(), 4u);
-  sharded->update(1, 5);
-  EXPECT_EQ(sharded->scan({1, 3}), (std::vector<std::uint64_t>{5, 0}));
 }
 
-TEST(SnapshotRegistry, UnsupportedReclaimPlaneFailsWithTheFullCatalogue) {
-  // reclaim=hp on an entry without a hazard-pointer path fails centrally,
-  // naming the supported set and printing the catalogue (whose lines list
-  // every entry's {reclaim=...} planes).
-  try {
-    make_snapshot("fig1_register:reclaim=hp", 4, 2);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("does not support reclaim=hp"),
-              std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supported: ebr"), std::string::npos) << message;
-    EXPECT_NE(message.find("known implementations"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("{reclaim=ebr,hp}"), std::string::npos)
-        << message;
+TEST(SnapshotRegistry, ReclaimIsNotAnOption) {
+  // EBR is the only reclamation plane, so reclaim= is an unknown option
+  // like any other.
+  for (const char* plane : {"hp", "ebr"}) {
+    const std::string spec = std::string("fig3_cas:reclaim=") + plane;
+    try {
+      make_snapshot(spec, 4, 2);
+      FAIL() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown option 'reclaim'"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // Combination rules fail loudly at construction, not deep in a workload:
-  // shards out of range, hp with the write ablation, hp with sharding,
-  // sharding on the versioned plane.
+  EXPECT_EQ(snapshot_catalogue().find("reclaim"), std::string::npos);
+}
+
+TEST(SnapshotRegistry, ShardRulesFailLoudlyAtConstruction) {
+  // Combination rules fail at construction, not deep in a workload:
+  // shards out of range, and sharding on the versioned plane.
   EXPECT_THROW(make_snapshot("fig3_cas:shards=0", 4, 2),
                std::invalid_argument);
   EXPECT_THROW(make_snapshot("fig3_cas:shards=17", 4, 2),
                std::invalid_argument);
-  EXPECT_THROW(make_snapshot("fig3_cas:cas=false,reclaim=hp", 4, 2),
-               std::invalid_argument);
-  EXPECT_THROW(make_snapshot("fig3_cas:reclaim=hp,shards=2", 4, 2),
-               std::invalid_argument);
-  EXPECT_THROW(make_snapshot("fig3_cas:value=versioned,shards=2", 4, 2),
-               std::invalid_argument);
-}
-
-TEST(SnapshotRegistry, CatalogueListsPerImplementationReclaimPlanes) {
-  std::string catalogue = snapshot_catalogue();
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    EXPECT_NE(catalogue.find("{reclaim=" + info->reclaims + "}"),
-              std::string::npos)
-        << info->name << " reclaim planes missing from catalogue";
-  }
-  EXPECT_NE(catalogue.find("reclaim=<plane>"), std::string::npos);
-}
-
-TEST(SnapshotRegistry, DefaultReclaimPlaneIsTheFirstListed) {
-  EXPECT_TRUE(reclaim_plane_supported("ebr,hp", "ebr"));
-  EXPECT_TRUE(reclaim_plane_supported("ebr,hp", "hp"));
-  EXPECT_FALSE(reclaim_plane_supported("ebr", "hp"));
-  EXPECT_FALSE(reclaim_plane_supported("hp", "ebr"));
-  EXPECT_EQ(default_reclaim_plane("ebr,hp"), "ebr");
-  EXPECT_EQ(default_reclaim_plane("hp"), "hp");
-  // Capability field vs instance, for every entry.
-  exec::ScopedPid pid(0);
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = make_snapshot(info->name, 4, 2);
-    EXPECT_EQ(snap->reclaim_plane(), default_reclaim_plane(info->reclaims))
-        << info->name;
+  try {
+    make_snapshot("fig3_cas:value=versioned,shards=2", 4, 2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "shards>1 is not supported on the versioned plane (batch "
+                 "descriptors and version stamps share one domain; drop "
+                 "shards= or use a collect plane, value=u64|blob)");
   }
 }
 
@@ -504,13 +468,13 @@ TEST(SnapshotRegistry, UnknownOptionSuggestsTheClosestQueriedKey) {
   // A typo'd option names its likely intent: the candidate pool is the
   // keys the registry and the factory actually asked about.
   try {
-    make_snapshot("fig3_cas:reclam=hp", 4, 2);
+    make_snapshot("fig3_cas:shard=2", 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     std::string message = e.what();
-    EXPECT_NE(message.find("unknown option 'reclam'"), std::string::npos)
+    EXPECT_NE(message.find("unknown option 'shard'"), std::string::npos)
         << message;
-    EXPECT_NE(message.find("did you mean 'reclaim'"), std::string::npos)
+    EXPECT_NE(message.find("did you mean 'shards'"), std::string::npos)
         << message;
   }
   try {
@@ -658,9 +622,6 @@ TEST_P(RegistrySpecTest, SpecPlanesReachTheInstance) {
   auto snap = make_snapshot(spec, 4, 2);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->value_plane(), options.get_string("value", ""));
-  EXPECT_EQ(snap->reclaim_plane(),
-            options.get_string("reclaim",
-                               default_reclaim_plane(info.reclaims)));
   EXPECT_EQ(info.supports_batch,
             snap->batch_atomicity() != core::BatchAtomicity::kUnsupported);
   EXPECT_EQ(snap->num_components(), 4u);
@@ -683,7 +644,6 @@ TEST(SnapshotRegistry, ProgressAndLocalityDependOnTheOptions) {
            Expect{"full_snapshot", true, false},
            Expect{"full_snapshot:value=versioned", false, true},
            Expect{"fig3_cas:value=versioned", true, true},
-           Expect{"fig3_cas:value=versioned,reclaim=hp", false, true},
            Expect{"fig3_cas_batch", true, true},
            Expect{"fig3_cas_batch:value=versioned", false, true},
            Expect{"double_collect", false, true},

@@ -4,8 +4,8 @@
 // so a newly registered implementation is covered everywhere it qualifies.
 //
 // Snapshot suites run over registry SPECS: every entry crossed with its
-// declared value × reclaim planes (registry::snapshot_specs), so listing a
-// plane on an entry puts it under every suite it qualifies for.
+// declared value planes (registry::snapshot_specs), so listing a plane on
+// an entry puts it under every suite it qualifies for.
 #pragma once
 
 #include <gtest/gtest.h>

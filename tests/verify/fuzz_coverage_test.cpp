@@ -1,7 +1,8 @@
 // Coverage assertion for the fuzz target enumeration (verify/fuzz/target.h):
-// every sim-safe registry entry, on every value × reclaim plane it
-// declares, with a coalescing ingest variant for every batch-capable combo,
-// appears exactly once, and no two targets build the same object.  The expected set is recomputed here straight from the registries
+// every sim-safe registry entry, on every value plane it declares, with a
+// coalescing ingest variant for every batch-capable combo, appears exactly
+// once, and no two targets build the same object.  The expected set is
+// recomputed here straight from the registries
 // -- no hand-curated impl tables -- so registering a new implementation
 // without fuzz coverage fails this test, not code review.
 #include "verify/fuzz/target.h"
@@ -51,7 +52,56 @@ TEST(FuzzCoverage, EverySimSafeImplPlaneAndKnobComboIsEnumerated) {
   }
   // The built-in registries alone yield dozens of combos; a collapsed
   // enumeration (e.g. only default planes) cannot reach this floor.
-  EXPECT_GE(actual.size(), 47u);
+  EXPECT_GE(actual.size(), 35u);
+}
+
+TEST(FuzzCoverage, EarlierTargetsKeepTheirDisplayNames) {
+  // Pinned tokens and campaign logs name targets by display string, so an
+  // enumeration change must not rename any of these.
+  const char* const kKept[] = {
+      "snap fig1_register:value=u64",
+      "snap fig1_register:value=blob",
+      "snap fig3_cas:value=u64",
+      "snap fig3_cas:value=u64,batch=3,coalesce_window=6",
+      "snap fig3_cas:value=blob",
+      "snap fig3_cas:value=blob,batch=3,coalesce_window=6",
+      "snap fig3_cas:value=versioned",
+      "snap fig3_cas:value=versioned,batch=3,coalesce_window=6",
+      "snap fig3_write_ablation:value=u64",
+      "snap fig3_write_ablation:value=u64,batch=3,coalesce_window=6",
+      "snap fig3_write_ablation:value=blob",
+      "snap fig3_write_ablation:value=blob,batch=3,coalesce_window=6",
+      "snap full_snapshot:value=u64",
+      "snap full_snapshot:value=u64,batch=3,coalesce_window=6",
+      "snap full_snapshot:value=blob",
+      "snap full_snapshot:value=blob,batch=3,coalesce_window=6",
+      "snap full_snapshot:value=versioned",
+      "snap full_snapshot:value=versioned,batch=3,coalesce_window=6",
+      "snap double_collect:value=u64",
+      "snap double_collect:value=u64,batch=3,coalesce_window=6",
+      "snap double_collect:value=blob",
+      "snap double_collect:value=blob,batch=3,coalesce_window=6",
+      "snap fig3_cas_batch:value=u64",
+      "snap fig3_cas_batch:value=u64,batch=3,coalesce_window=6",
+      "snap fig3_cas_batch:value=blob",
+      "snap fig3_cas_batch:value=blob,batch=3,coalesce_window=6",
+      "snap fig3_cas_batch:value=versioned",
+      "snap fig3_cas_batch:value=versioned,batch=3,coalesce_window=6",
+      "snap full_snapshot_versioned_batch:value=versioned",
+      "snap full_snapshot_versioned_batch:value=versioned,batch=3,coalesce_window=6",
+      "aset register",
+      "aset bitmap",
+      "aset faicas",
+      "aset faicas_nocoalesce",
+      "aset faicas_nopublish",
+  };
+  std::set<std::string> actual;
+  for (const FuzzTarget& target : enumerate_targets()) {
+    actual.insert(target.display());
+  }
+  for (const char* display : kKept) {
+    EXPECT_TRUE(actual.count(display)) << "target renamed or lost: " << display;
+  }
 }
 
 TEST(FuzzCoverage, NoTwoTargetsBuildTheSameObject) {
@@ -65,8 +115,7 @@ TEST(FuzzCoverage, NoTwoTargetsBuildTheSameObject) {
     auto snap = registry::make_snapshot(target.spec, 4, 2, &knobs);
     const std::string identity =
         std::string(typeid(*snap).name()) + "|" + std::string(snap->name()) +
-        "|" + std::string(snap->value_plane()) + "|" +
-        std::string(snap->reclaim_plane()) +
+        "|" + std::string(snap->value_plane()) +
         (target.coalesced ? "|coalesced" : "");
     EXPECT_TRUE(seen.insert(identity).second)
         << target.spec << " builds the same object as an earlier target ("

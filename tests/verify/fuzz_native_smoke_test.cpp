@@ -1,4 +1,4 @@
-// Native-thread smoke over the pinned fuzz corpus, per reclamation plane.
+// Native-thread smoke over the pinned fuzz corpus.
 //
 // The fuzz campaign runs its plans under the deterministic SimScheduler,
 // where the linearizability checker is the main oracle.  This suite takes
@@ -6,7 +6,7 @@
 // needed a hand-written test) and executes them on REAL std::threads.
 // Native interleavings are not replayable, so the lin checker is out of
 // scope here; what real threads buy is real memory reclamation -- epochs
-// actually advancing, hazard scans actually racing retirements -- under
+// actually advancing, pools actually recycling across threads -- under
 // op mixes the generator chose adversarially.  The oracles that remain
 // sound without a schedule are exactly the per-plane ones:
 //
@@ -16,11 +16,6 @@
 //     component count (growth);
 //   * Section 2.1 validity for active-set histories;
 //   * no operation throws or crashes.
-//
-// Every snapshot plan runs once per reclamation plane its entry declares
-// (the same spec on reclaim=ebr and on reclaim=hp), so the hazard
-// path sees the corpus too -- on real threads, where its protect/validate
-// loops actually race.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -209,16 +204,8 @@ NativeRun run_active_set_plan_native(const FuzzTarget& target,
   return result;
 }
 
-// A pinned snapshot token expanded to one reclamation plane: the original
-// spec on that plane, plus the plan its seeds regenerate.
-struct NativeCase {
-  std::string token;   // the pin it came from, for diagnostics
-  FuzzTarget target;   // the token's spec on one declared reclaim plane
-  FuzzPlan plan;
-};
-
-TEST(FuzzNativeSmokeTest, PinnedSnapshotPlansPassPlaneOraclesPerReclaimPlane) {
-  std::vector<NativeCase> cases;
+TEST(FuzzNativeSmokeTest, PinnedSnapshotPlansPassPlaneOraclesOnRealThreads) {
+  int ran = 0;
   for (const std::string& token : pinned_corpus()) {
     CaseSpec spec;
     try {
@@ -227,40 +214,18 @@ TEST(FuzzNativeSmokeTest, PinnedSnapshotPlansPassPlaneOraclesPerReclaimPlane) {
       continue;
     }
     if (spec.target.kind != FuzzTarget::Kind::kSnapshot) continue;
-    auto [name, opts] = registry::split_spec(spec.target.spec);
-    const registry::SnapshotInfo* info =
-        registry::SnapshotRegistry::instance().find(name);
-    ASSERT_NE(info, nullptr) << token;
-    // The registry's combos on the token's value plane differ only in
-    // their ",reclaim=<plane>" suffix; carry each onto the token's spec.
-    const std::string stem =
-        std::string(name) + ":value=" +
-        registry::Options::parse(opts).get_string(
-            "value", registry::default_value_plane(info->values));
-    for (const std::string& combo : registry::snapshot_specs(*info)) {
-      if (combo != stem && combo.rfind(stem + ",", 0) != 0) continue;
-      FuzzTarget target =
-          target_from_spec(FuzzTarget::Kind::kSnapshot,
-                           spec.target.spec + combo.substr(stem.size()));
-      cases.push_back(
-          {token, target, generate_plan(target, spec.shape, spec.op_seed)});
-    }
-  }
-  // Every pinned snapshot token names a fig3_cas-family spec, all of which
-  // declare both reclaim planes -- each pin must fan out to both.
-  ASSERT_GE(cases.size(), 2u) << "corpus lost its snapshot pins";
-  for (const NativeCase& c : cases) {
-    const std::string label = c.token + " as " + c.target.spec;
+    FuzzPlan plan = generate_plan(spec.target, spec.shape, spec.op_seed);
     for (int rep = 0; rep < kRepsPerCase; ++rep) {
-      NativeRun run = run_snapshot_plan_native(c.target, c.plan);
-      ASSERT_EQ(run.error, "") << label;
+      NativeRun run = run_snapshot_plan_native(spec.target, plan);
+      ASSERT_EQ(run.error, "") << token;
       OracleOutcome epochs = check_epochs(run.ops);
-      EXPECT_TRUE(epochs.ok) << label << ": " << epochs.diagnosis;
-      OracleOutcome growth =
-          check_growth(run.ops, c.plan.initial_m, run.final_m);
-      EXPECT_TRUE(growth.ok) << label << ": " << growth.diagnosis;
+      EXPECT_TRUE(epochs.ok) << token << ": " << epochs.diagnosis;
+      OracleOutcome growth = check_growth(run.ops, plan.initial_m, run.final_m);
+      EXPECT_TRUE(growth.ok) << token << ": " << growth.diagnosis;
     }
+    ++ran;
   }
+  ASSERT_GE(ran, 2) << "corpus lost its snapshot pins";
 }
 
 TEST(FuzzNativeSmokeTest, PinnedActiveSetPlansPassValidityOnRealThreads) {
